@@ -155,17 +155,18 @@ fn record_ops() -> (Vec<Op>, RequesterReport) {
 /// node's — shard thread, WAL append, group commit — not the driver's
 /// request round-trips. FIFO per campaign keeps the replay ordered.
 fn replay_pipelined(router: &ClusterRouter, campaign: CampaignId, ops: &[Op]) -> u64 {
+    let primary = router.owner_primary(campaign).expect("routable owner");
     let mut golden_tickets = Vec::new();
     let mut batch_tickets = Vec::new();
     for op in ops {
         match op {
             Op::Golden(w, picks) => golden_tickets.push(
-                router
+                primary
                     .submit_golden_ticket_in(campaign, *w, picks.clone())
                     .expect("golden ticket"),
             ),
             Op::Batch(batch) => batch_tickets.push(
-                router
+                primary
                     .submit_answer_batch_ticket_in(campaign, batch.clone())
                     .expect("batch ticket"),
             ),
@@ -192,10 +193,18 @@ fn drive_paced(router: &ClusterRouter, campaign: CampaignId, pace: Duration) -> 
         let mut progressed = false;
         for w in 0..workers {
             let w = WorkerId(w);
-            match router.request_tasks_in(campaign, w).expect("request") {
+            let work = router
+                .write(campaign, |h| h.request_tasks_ticket_in(campaign, w)?.wait())
+                .expect("request");
+            match work {
                 WorkRequest::Golden(golden) => {
                     let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
-                    router.submit_golden_in(campaign, w, picks).expect("golden");
+                    router
+                        .write(campaign, |h| {
+                            h.submit_golden_ticket_in(campaign, w, picks.clone())?
+                                .wait()
+                        })
+                        .expect("golden");
                     progressed = true;
                     std::thread::sleep(pace);
                 }
@@ -205,7 +214,10 @@ fn drive_paced(router: &ClusterRouter, campaign: CampaignId, pace: Duration) -> 
                         .map(|&t| Answer::new(w, t, (t.index() + w.0 as usize) % 2))
                         .collect();
                     let outcome = router
-                        .submit_answer_batch_in(campaign, batch)
+                        .write(campaign, |h| {
+                            h.submit_answer_batch_ticket_in(campaign, batch.clone())?
+                                .wait()
+                        })
                         .expect("batch");
                     if outcome.accepted > 0 {
                         answers += outcome.accepted as u64;
@@ -218,7 +230,9 @@ fn drive_paced(router: &ClusterRouter, campaign: CampaignId, pace: Duration) -> 
         }
         idle_rounds = if progressed { 0 } else { idle_rounds + 1 };
     }
-    router.finish_in(campaign).expect("finish");
+    router
+        .write(campaign, |h| h.finish_in(campaign))
+        .expect("finish");
     answers
 }
 
@@ -367,7 +381,7 @@ fn main() {
         // covers every acknowledged submission.
         let report = cluster
             .router
-            .peek_report_in(campaign)
+            .read(campaign, |h| h.peek_report_in(campaign))
             .expect("report after migration");
         assert!(report.answers_collected >= answers as usize);
         let stats = cluster.router.stats();
@@ -398,7 +412,10 @@ fn main() {
     for round in 0..repeats {
         let (cluster, a, b) = two_nodes(&format!("tput1-{round}"));
         let (answers, wall) = aggregate_tput(&cluster.router, a, b, &ops);
-        let report = cluster.router.finish_in(a).expect("finish A");
+        let report = cluster
+            .router
+            .write(a, |h| h.finish_in(a))
+            .expect("finish A");
         assert_eq!(report.truths, reference.truths, "campaign A diverged");
         assert_eq!(report.answers_collected, reference.answers_collected);
         let tput = answers as f64 / wall;
@@ -414,7 +431,10 @@ fn main() {
         let (cluster, a, b) = two_nodes(&format!("tput2-{round}"));
         migrate_and_flip(&cluster, b);
         let (answers, wall) = aggregate_tput(&cluster.router, a, b, &ops);
-        let report = cluster.router.finish_in(b).expect("finish B");
+        let report = cluster
+            .router
+            .write(b, |h| h.finish_in(b))
+            .expect("finish B");
         assert_eq!(
             report.truths, reference.truths,
             "migrated campaign diverged"

@@ -27,7 +27,9 @@
 
 use docs_obs::{AtomicHistogram, SpanKind};
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
-use docs_service::{AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceHandle};
+use docs_service::{
+    AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceHandle, Ticket,
+};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, WorkerId};
@@ -93,10 +95,17 @@ fn drive_to_budget(handle: &ServiceHandle, campaign: CampaignId) -> u64 {
         let mut progressed = false;
         for w in 0..workers {
             let w = WorkerId(w);
-            match handle.request_tasks_in(campaign, w).expect("request") {
+            match handle
+                .request_tasks_ticket_in(campaign, w)
+                .and_then(Ticket::wait)
+                .expect("request")
+            {
                 WorkRequest::Golden(golden) => {
                     let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
-                    handle.submit_golden_in(campaign, w, picks).expect("golden");
+                    handle
+                        .submit_golden_ticket_in(campaign, w, picks)
+                        .and_then(Ticket::wait)
+                        .expect("golden");
                     progressed = true;
                 }
                 WorkRequest::Tasks(hit) => {
@@ -105,7 +114,8 @@ fn drive_to_budget(handle: &ServiceHandle, campaign: CampaignId) -> u64 {
                         .map(|&t| Answer::new(w, t, (t.index() + w.0 as usize) % 2))
                         .collect();
                     let outcome = handle
-                        .submit_answer_batch_in(campaign, batch)
+                        .submit_answer_batch_ticket_in(campaign, batch)
+                        .and_then(Ticket::wait)
                         .expect("batch");
                     if outcome.accepted > 0 {
                         answers += outcome.accepted as u64;

@@ -185,16 +185,24 @@ fn prime_worker(
     mode: DispatchMode,
     id: WorkerId,
 ) -> Worker {
-    let golden = match handle.request_tasks_in(campaign, id).expect("golden req") {
+    let golden = match handle
+        .request_tasks_ticket_in(campaign, id)
+        .and_then(Ticket::wait)
+        .expect("golden req")
+    {
         WorkRequest::Golden(g) => g,
         other => panic!("fresh worker got {other:?}"),
     };
     let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
     handle
-        .submit_golden_in(campaign, id, picks)
+        .submit_golden_ticket_in(campaign, id, picks)
+        .and_then(Ticket::wait)
         .expect("golden submit");
     let hit = match mode {
-        DispatchMode::Pull => handle.request_tasks_in(campaign, id).expect("first hit"),
+        DispatchMode::Pull => handle
+            .request_tasks_ticket_in(campaign, id)
+            .and_then(Ticket::wait)
+            .expect("first hit"),
         // A subscribe below the in-flight cap serves immediately — and
         // leases, so the standing subscription issued next parks.
         DispatchMode::Push | DispatchMode::Hybrid => handle
@@ -260,7 +268,13 @@ fn next_assignment_pushed(
                     // (unleased — the next standing subscribe is deferred
                     // to ride behind the next submit, so it cannot
                     // double-pick the poll's HIT).
-                    (handle.request_tasks_in(campaign, worker.id), false, true)
+                    (
+                        handle
+                            .request_tasks_ticket_in(campaign, worker.id)
+                            .and_then(Ticket::wait),
+                        false,
+                        true,
+                    )
                 }
                 work => (work, true, true),
             }

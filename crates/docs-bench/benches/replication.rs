@@ -22,7 +22,7 @@
 //! for a diverged replica would be meaningless.
 
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
-use docs_service::{AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig};
+use docs_service::{AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, Ticket};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, WorkerId};
@@ -151,13 +151,15 @@ fn drive_to_budget(pair: &Pair) -> (u64, u64) {
             let w = WorkerId(w);
             match pair
                 .handle
-                .request_tasks_in(pair.campaign, w)
+                .request_tasks_ticket_in(pair.campaign, w)
+                .and_then(Ticket::wait)
                 .expect("request")
             {
                 WorkRequest::Golden(golden) => {
                     let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
                     pair.handle
-                        .submit_golden_in(pair.campaign, w, picks)
+                        .submit_golden_ticket_in(pair.campaign, w, picks)
+                        .and_then(Ticket::wait)
                         .expect("golden");
                     events += 1;
                     progressed = true;
@@ -169,7 +171,8 @@ fn drive_to_budget(pair: &Pair) -> (u64, u64) {
                         .collect();
                     let outcome = pair
                         .handle
-                        .submit_answer_batch_in(pair.campaign, batch)
+                        .submit_answer_batch_ticket_in(pair.campaign, batch)
+                        .and_then(Ticket::wait)
                         .expect("batch");
                     if outcome.accepted > 0 {
                         events += 1; // one batch event per accepted sub-batch
@@ -244,12 +247,14 @@ fn main() {
     let w = WorkerId(0);
     if let WorkRequest::Golden(golden) = pair
         .handle
-        .request_tasks_in(pair.campaign, w)
+        .request_tasks_ticket_in(pair.campaign, w)
+        .and_then(Ticket::wait)
         .expect("request")
     {
         let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
         pair.handle
-            .submit_golden_in(pair.campaign, w, picks)
+            .submit_golden_ticket_in(pair.campaign, w, picks)
+            .and_then(Ticket::wait)
             .expect("golden");
     }
     let mut seq = 2u64; // Published + golden
@@ -259,7 +264,12 @@ fn main() {
     for i in 0..lag_rounds {
         let answer = Answer::new(w, docs_types::TaskId((i % num_tasks()) as u32), i % 2);
         let started = Instant::now();
-        if pair.handle.submit_answer_in(pair.campaign, answer).is_err() {
+        if pair
+            .handle
+            .submit_answer_ticket_in(pair.campaign, answer)
+            .and_then(Ticket::wait)
+            .is_err()
+        {
             continue; // duplicate/budget: not a lag sample
         }
         seq += 1;

@@ -231,7 +231,9 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
             );
             let started = Instant::now();
             let mirror = drive(&router, campaign, &tasks, &population, spec, budget);
-            let report = router.finish_in(campaign).expect("finish");
+            let report = router
+                .write(campaign, |h| h.finish_in(campaign))
+                .expect("finish");
             let wall = started.elapsed();
             drop(router);
             drop(handle0);
@@ -283,7 +285,8 @@ fn drive<T: DriveTarget>(
         arrivals += 1;
         let w = sampler.next(&mut rng);
         let progress = mirror.answers_collected as f64 / budget as f64;
-        let work = target
+        let primary = target.owner_primary(campaign).expect("route");
+        let work = primary
             .request_tasks_ticket_in(campaign, w)
             .expect("request submit")
             .wait()
@@ -302,7 +305,7 @@ fn drive<T: DriveTarget>(
                 for &(g, c) in &answers {
                     mirror.golden.push((w, g, c));
                 }
-                target
+                primary
                     .submit_golden_ticket_in(campaign, w, answers)
                     .expect("golden submit")
                     .wait()
@@ -320,7 +323,7 @@ fn drive<T: DriveTarget>(
                         Answer::new(w, t, population.answer(w, &tasks[t.index()], ctx, &mut rng))
                     })
                     .collect();
-                let outcome = target
+                let outcome = primary
                     .submit_answer_batch_ticket_in(campaign, batch.clone())
                     .expect("batch submit")
                     .wait()

@@ -19,156 +19,15 @@
 //! `service_pipeline` bench measures the two against each other.
 
 use crate::message::BatchOutcome;
-use crate::routing::ClusterRouter;
-use crate::server::{ServiceError, ServiceHandle};
+use crate::routing::{absorb_redirects, DriveTarget};
+use crate::server::ServiceError;
 use crate::ticket::Ticket;
 use docs_crowd::{AnswerModel, WorkerPopulation};
-use docs_system::{CampaignStatus, RequesterReport, WorkRequest};
-use docs_types::{Answer, CampaignId, ChoiceIndex, NodeId, RejectReason, Task, TaskId, WorkerId};
+use docs_system::WorkRequest;
+use docs_types::{Answer, CampaignId, ChoiceIndex, Task, TaskId, WorkerId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Redirect budget of one drive-side operation; mirrors the router's
-/// blocking write path (~10 s of 1 ms parks across a fence window).
-const DRIVE_REDIRECT_LIMIT: usize = 10_000;
-
-/// Anything a crowd drive can aim at: a single service pool
-/// ([`ServiceHandle`]) or a whole multi-primary cluster
-/// ([`ClusterRouter`]). The drive only needs the three pipelined
-/// submission entry points plus redirect bookkeeping — a stale-map
-/// [`RejectReason::WrongNode`] answer is a *retry* signal, not a
-/// submission failure, so the drive resubmits against the owner the
-/// service named instead of counting a rejection.
-pub trait DriveTarget: Clone + Send + Sync + 'static {
-    /// The campaign the target serves when the caller names none.
-    fn default_campaign(&self) -> CampaignId;
-
-    /// Pipelined assignment request.
-    fn request_tasks_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError>;
-
-    /// Pipelined golden-HIT submission.
-    fn submit_golden_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError>;
-
-    /// Pipelined batched answer submission.
-    fn submit_answer_batch_ticket_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<BatchOutcome>, ServiceError>;
-
-    /// A `WrongNode` answer was harvested: learn the placement so the
-    /// retry aims right. A single pool has nothing to learn.
-    fn note_redirect(&self, _campaign: CampaignId, _owner: NodeId) {}
-
-    /// An operation succeeded after at least one redirect (forwarding
-    /// accounting). A single pool keeps no such ledger.
-    fn note_forwarded(&self, _campaign: CampaignId) {}
-
-    /// Blocking finish: run full inference and return the requester
-    /// report. Harness entry point — the scenario driver scores whatever
-    /// topology it drove through the same call.
-    fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError>;
-
-    /// Blocking read of the campaign's serving status.
-    fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError>;
-}
-
-impl DriveTarget for ServiceHandle {
-    fn default_campaign(&self) -> CampaignId {
-        ServiceHandle::default_campaign(self)
-    }
-
-    fn request_tasks_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        ServiceHandle::request_tasks_ticket_in(self, campaign, worker)
-    }
-
-    fn submit_golden_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError> {
-        ServiceHandle::submit_golden_ticket_in(self, campaign, worker, answers)
-    }
-
-    fn submit_answer_batch_ticket_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<BatchOutcome>, ServiceError> {
-        ServiceHandle::submit_answer_batch_ticket_in(self, campaign, answers)
-    }
-
-    fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        ServiceHandle::finish_in(self, campaign)
-    }
-
-    fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError> {
-        ServiceHandle::status_in(self, campaign)
-    }
-}
-
-impl DriveTarget for ClusterRouter {
-    fn default_campaign(&self) -> CampaignId {
-        self.nodes()[0].primary.default_campaign()
-    }
-
-    fn request_tasks_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        ClusterRouter::request_tasks_ticket_in(self, campaign, worker)
-    }
-
-    fn submit_golden_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError> {
-        ClusterRouter::submit_golden_ticket_in(self, campaign, worker, answers)
-    }
-
-    fn submit_answer_batch_ticket_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<BatchOutcome>, ServiceError> {
-        ClusterRouter::submit_answer_batch_ticket_in(self, campaign, answers)
-    }
-
-    fn note_redirect(&self, campaign: CampaignId, owner: NodeId) {
-        ClusterRouter::note_redirect(self, campaign, owner)
-    }
-
-    fn note_forwarded(&self, campaign: CampaignId) {
-        ClusterRouter::note_forwarded(self, campaign)
-    }
-
-    fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        ClusterRouter::finish_in(self, campaign)
-    }
-
-    fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError> {
-        ClusterRouter::status_in(self, campaign)
-    }
-}
 
 /// Per-thread outcome of a drive run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -396,58 +255,11 @@ enum PendingAck {
     },
 }
 
-/// Waits on a pipelined ack, absorbing stale-map redirects: every
-/// `WrongNode` answer teaches the target the named owner and resubmits
-/// there. The inner result carries ordinary rejections for the caller to
-/// account; the outer one aborts the drive (disconnects, full queues on
-/// resubmission).
-fn wait_absorbing_redirects<T: DriveTarget, R>(
-    target: &T,
-    campaign: CampaignId,
-    mut ticket: Ticket<R>,
-    resubmit: impl Fn(&T) -> Result<Ticket<R>, ServiceError>,
-) -> Result<Result<R, ServiceError>, ServiceError> {
-    let mut redirects = 0usize;
-    loop {
-        match ticket.wait() {
-            Ok(value) => {
-                if redirects > 0 {
-                    target.note_forwarded(campaign);
-                }
-                return Ok(Ok(value));
-            }
-            Err(ServiceError::Rejected(RejectReason::WrongNode { owner })) => {
-                redirects += 1;
-                if redirects > DRIVE_REDIRECT_LIMIT {
-                    return Ok(Err(ServiceError::Rejected(RejectReason::WrongNode {
-                        owner,
-                    })));
-                }
-                target.note_redirect(campaign, owner);
-                if redirects > 1 {
-                    // Fence window: source and destination both redirect
-                    // until the tail is adopted; park instead of spinning.
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                ticket = match resubmit(target) {
-                    Ok(t) => t,
-                    // The named owner is outside the target's node set;
-                    // nothing to retry against — surface the rejection.
-                    Err(e @ ServiceError::Rejected(RejectReason::WrongNode { .. })) => {
-                        return Ok(Err(e))
-                    }
-                    Err(e) => return Err(e),
-                };
-            }
-            Err(e) => return Ok(Err(e)),
-        }
-    }
-}
-
 /// Harvests a pending ack into the outcome. Stale-map redirects are
-/// *retried* (see [`wait_absorbing_redirects`]); ordinary rejections are
-/// absorbed (they are per-worker races, exactly what the deployment
-/// sees); anything else aborts the drive.
+/// *retried* against the owner the service named (the shared
+/// [`absorb_redirects`] policy); ordinary rejections are absorbed (they
+/// are per-worker races, exactly what the deployment sees); anything else
+/// aborts the drive.
 fn settle<T: DriveTarget>(
     target: &T,
     campaign: CampaignId,
@@ -461,9 +273,10 @@ fn settle<T: DriveTarget>(
             answers,
             ticket,
         }) => {
-            let settled = wait_absorbing_redirects(target, campaign, ticket, |t| {
-                t.submit_golden_ticket_in(campaign, worker, answers.clone())
-            })?;
+            let settled = absorb_redirects(target, campaign, ticket.wait(), |h| {
+                h.submit_golden_ticket_in(campaign, worker, answers.clone())?
+                    .wait()
+            });
             match settled {
                 Ok(()) => {
                     outcome.golden_hits += 1;
@@ -478,9 +291,10 @@ fn settle<T: DriveTarget>(
         }
         Some(PendingAck::Batch { answers, ticket }) => {
             let len = answers.len();
-            let settled = wait_absorbing_redirects(target, campaign, ticket, |t| {
-                t.submit_answer_batch_ticket_in(campaign, answers.clone())
-            })?;
+            let settled = absorb_redirects(target, campaign, ticket.wait(), |h| {
+                h.submit_answer_batch_ticket_in(campaign, answers.clone())?
+                    .wait()
+            });
             match settled {
                 Ok(batch) => {
                     outcome.answers += batch.accepted;
@@ -531,12 +345,12 @@ fn drive_shard<T: DriveTarget>(
     while outcome.arrivals < max_arrivals {
         outcome.arrivals += 1;
         let w = my_workers[rng.gen_range(0..my_workers.len())];
-        let work = wait_absorbing_redirects(
-            handle,
-            campaign,
-            handle.request_tasks_ticket_in(campaign, w)?,
-            |t| t.request_tasks_ticket_in(campaign, w),
-        )??;
+        let ticket = handle
+            .owner_primary(campaign)?
+            .request_tasks_ticket_in(campaign, w)?;
+        let work = absorb_redirects(handle, campaign, ticket.wait(), |h| {
+            h.request_tasks_ticket_in(campaign, w)?.wait()
+        })?;
         settle(handle, campaign, &mut pending, &mut outcome)?;
         match work {
             WorkRequest::Golden(golden) => {
@@ -545,7 +359,11 @@ fn drive_shard<T: DriveTarget>(
                     .iter()
                     .map(|&gid| (gid, worker.answer(&tasks[gid.index()], model, &mut rng)))
                     .collect();
-                let ticket = handle.submit_golden_ticket_in(campaign, w, answers.clone())?;
+                let ticket = handle.owner_primary(campaign)?.submit_golden_ticket_in(
+                    campaign,
+                    w,
+                    answers.clone(),
+                )?;
                 pending = Some(PendingAck::Golden {
                     worker: w,
                     answers,
@@ -565,7 +383,9 @@ fn drive_shard<T: DriveTarget>(
                         Answer::new(w, tid, choice)
                     })
                     .collect();
-                let ticket = handle.submit_answer_batch_ticket_in(campaign, answers.clone())?;
+                let ticket = handle
+                    .owner_primary(campaign)?
+                    .submit_answer_batch_ticket_in(campaign, answers.clone())?;
                 pending = Some(PendingAck::Batch { answers, ticket });
             }
             WorkRequest::Done => break,
@@ -583,7 +403,7 @@ fn drive_shard<T: DriveTarget>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DocsService;
+    use crate::{DocsService, ServiceHandle};
     use docs_crowd::PopulationConfig;
     use docs_kb::table2_example_kb;
     use docs_system::{Docs, DocsConfig};
@@ -637,7 +457,7 @@ mod tests {
             report.total_answers()
         );
         assert!(report.total_golden() >= 1);
-        let final_report = handle.finish().unwrap();
+        let final_report = handle.finish_in(handle.default_campaign()).unwrap();
         assert_eq!(final_report.truths.len(), 24);
         assert!(final_report.answers_collected >= 24 * 4);
         drop(handle);
@@ -694,7 +514,7 @@ mod tests {
                 drive_workers(&handle, tasks, &pop, AnswerModel::DomainUniform, 1, 0xAB)
             }
             .unwrap();
-            let final_report = handle.finish().unwrap();
+            let final_report = handle.finish_in(handle.default_campaign()).unwrap();
             drop(handle);
             service.join();
             (

@@ -16,18 +16,23 @@
 //!   arrival order on its owning shard — the same serialization a
 //!   single-writer web backend provides — while different campaigns
 //!   progress in parallel on different shards,
-//! * [`ServiceHandle`] is a cheaply cloneable routing client with two API
-//!   styles over one wire protocol: blocking methods (`request_tasks_in`,
-//!   `submit_answer_batch_in`, …: submit + wait, one synchronous
-//!   round-trip) and pipelined submissions (`*_ticket_in` / `try_*_in`)
-//!   that enqueue a correlation-tagged envelope and return a [`Ticket`] —
-//!   a one-shot completion handle with [`Ticket::wait`],
-//!   [`Ticket::wait_timeout`], and [`Ticket::try_take`] — so one client
-//!   thread can keep many requests in flight per shard,
+//! * [`ServiceHandle`] is a cheaply cloneable routing client with **one
+//!   method per operation**. Worker-plane operations
+//!   (`request_tasks_ticket_in`, `subscribe_assignments_ticket_in`,
+//!   `submit_golden_ticket_in`, `submit_answer_ticket_in`,
+//!   `submit_answer_batch_ticket_in`) enqueue a correlation-tagged
+//!   envelope and return a [`Ticket`] — a one-shot completion handle with
+//!   [`Ticket::wait`], [`Ticket::wait_timeout`], and [`Ticket::try_take`]
+//!   — so one client thread can keep many requests in flight per shard; a
+//!   blocking caller writes `?.wait()`. Requester, read, replication and
+//!   control operations (`create_campaign*`, `finish_in`, `status_in`,
+//!   `peek_report_in`, `snapshot_state_in`, `fence_in`, …) block for their
+//!   completion,
 //! * **Backpressure**: per-shard ingress queues are bounded
-//!   ([`ServiceConfig::queue_capacity`]); blocking submissions park on a
-//!   full queue while the `try_*` forms fail fast with
-//!   [`ServiceError::Busy`] and bump the shard's `busy_rejections`
+//!   ([`ServiceConfig::queue_capacity`]); submissions park on a full queue
+//!   while the one fail-fast entry point,
+//!   [`ServiceHandle::try_request_tasks_in`], returns
+//!   [`ServiceError::Busy`] and bumps the shard's `busy_rejections`
 //!   counter,
 //! * **Push/hybrid dispatch** ([`ServiceConfig::dispatch`]): instead of
 //!   polling, a worker can register a long-lived assignment subscription
@@ -67,17 +72,20 @@
 //!   serving the pure reads ([`ServiceHandle::status_in`],
 //!   [`ServiceHandle::peek_report_in`],
 //!   [`ServiceHandle::snapshot_state_in`]) locally, and
-//!   [`ReadRouter`] fans client reads out to replicas while pinning
-//!   writes to the primary. The streaming hub, applier, and
+//!   [`ClusterRouter::single`] — the primary+replicas client — fans client
+//!   reads out to replicas while pinning writes to the primary. The
+//!   streaming hub, applier, and
 //!   promotion/failover live in the `docs-replication` crate (see
 //!   ARCHITECTURE.md, "Replication & failover"),
 //! * **Cluster routing** ([`ClusterRouter`]): campaigns partition across
 //!   multiple primary nodes by a versioned
-//!   [`ClusterMap`](docs_types::ClusterMap); writes go to the owning
-//!   primary, reads fan out replica-first on the owning node, and a
-//!   stale map self-heals — a
+//!   [`ClusterMap`](docs_types::ClusterMap). The router has no per-op
+//!   methods: [`ClusterRouter::write`] runs any `ServiceHandle` operation
+//!   on the owning primary, [`ClusterRouter::read`] runs a pure read
+//!   replica-first on the owning node, and a stale map self-heals — a
 //!   [`RejectReason::WrongNode`](docs_types::RejectReason) answer names
-//!   the owner and the router retries there. Live campaign migration
+//!   the owner and [`absorb_redirects`], the one redirect loop shared by
+//!   blocking writes and pipelined drives, retries there. Live campaign migration
 //!   (fence → chase tail → adopt → flip the directory epoch) lives in
 //!   `docs-replication::migrate_campaign` (see ARCHITECTURE.md,
 //!   "Cluster & migration"),
@@ -98,14 +106,14 @@ mod ticket;
 
 pub use client::{
     drive_workers, drive_workers_blocking, drive_workers_blocking_on, drive_workers_on,
-    DriveOutcome, DriveReport, DriveTarget,
+    DriveOutcome, DriveReport,
 };
 pub use message::{BatchOutcome, Completion, CorrelationId, Request, RequestEnvelope, Response};
 pub use metrics::{
     DurabilityStats, FollowerLagSample, HubHealth, OpKind, OpStats, ReplicationStats, RoutingStats,
     ServiceMetrics, ShardStats,
 };
-pub use routing::{ClusterNode, ClusterRouter, ClusterRouterStats, ReadRouter, ReadRoutingStats};
+pub use routing::{absorb_redirects, ClusterNode, ClusterRouter, ClusterRouterStats, DriveTarget};
 pub use server::{
     DispatchConfig, DispatchMode, DocsService, DurabilityConfig, ReplicationSink, ServiceConfig,
     ServiceError, ServiceHandle,

@@ -4,51 +4,131 @@
 //! the service names.
 //!
 //! The paper's deployment serves every request from one Django backend;
-//! WAL-shipping replication (PR 5) scaled the read path, and the cluster
+//! WAL-shipping replication scaled the read path, and the cluster
 //! directory scales the write path: campaigns are partitioned across
 //! multiple primary nodes, and ownership is a *migratable* fact recorded
 //! in a versioned [`ClusterMap`] (see ARCHITECTURE.md, "Cluster &
 //! migration"). A [`ClusterRouter`] wraps any number of [`ClusterNode`]s
-//! (each a primary [`ServiceHandle`] plus its read replicas):
+//! (each a primary [`ServiceHandle`] plus its read replicas), and
+//! [`ClusterRouter::single`] is the one-node primary+replicas client.
 //!
-//! * **writes** (`request_tasks_in`, `submit_*`, `finish_in`) resolve the
-//!   campaign's owner through the router's map and go to that node's
-//!   primary. A [`RejectReason::WrongNode`] answer means the map is stale
-//!   (the campaign was migrated): the router learns the returned owner and
+//! The router adds no per-operation methods of its own: every operation
+//! is the one [`ServiceHandle`] method, run through one of three
+//! combinators.
+//!
+//! * [`ClusterRouter::write`] resolves the campaign's owner through the
+//!   router's map and runs the operation on that node's primary, e.g.
+//!   `router.write(c, |h| h.request_tasks_ticket_in(c, w)?.wait())`. A
+//!   [`RejectReason::WrongNode`] answer means the map is stale (the
+//!   campaign was migrated): the router learns the returned owner and
 //!   retries there — one retry for a settled directory, a brief
 //!   park-and-ping-pong during a migration's fence window (both sides
 //!   redirect until the new owner adopts the tail, which is exactly the
-//!   "buffer and forward in-flight submissions" phase),
-//! * **reads** (`status_in`, `peek_report_in`, `snapshot_state_in`) go to
-//!   the owning node's next replica in round-robin order, falling back to
-//!   that node's primary when a replica is gone, refuses, or has not
-//!   bootstrapped the campaign yet (its lag shows as `UnknownCampaign`).
+//!   "buffer and forward in-flight submissions" phase).
+//! * [`ClusterRouter::read`] runs a pure read (`status_in`,
+//!   `peek_report_in`, `snapshot_state_in`) on the owning node's next
+//!   replica in round-robin order, falling back to that node's primary
+//!   when a replica is gone, refuses, or has not bootstrapped the campaign
+//!   yet (its lag shows as `UnknownCampaign`).
+//! * [`ClusterRouter::owner_primary`] names the primary a pipelined
+//!   submission should target right now; a crowd drive
+//!   ([`DriveTarget`]) harvests the ticket and runs any redirect through
+//!   the same policy as `write`.
 //!
 //! Replicas serve *their watermark's* state: a read routed to a lagging
 //! follower is consistent-but-stale, exactly like any asynchronous read
 //! replica. Callers that need read-your-writes read from the primary.
-//!
-//! [`ReadRouter`] — the single-node primary+replicas client from the
-//! replication era — survives as a thin wrapper around a one-node
-//! [`ClusterRouter`]: same API, same counters, one routing engine.
 
 use crate::server::{ServiceError, ServiceHandle};
-use crate::ticket::Ticket;
-use docs_system::{CampaignStatus, RequesterReport, WorkRequest};
-use docs_types::{
-    Answer, CampaignId, ChoiceIndex, ClusterMap, NodeId, RejectReason, TaskId, WorkerId,
-};
+use docs_types::{CampaignId, ClusterMap, NodeId, RejectReason};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Redirect budget of one write: generous enough to ride out a
+/// Redirect budget of one operation: generous enough to ride out a
 /// migration's whole fence window (each post-first redirect parks ~1 ms,
 /// so this is ~10 s of forwarding patience), finite so a routing loop
 /// between two confused nodes cannot hang a client forever.
-const WRITE_REDIRECT_LIMIT: usize = 10_000;
+const REDIRECT_LIMIT: usize = 10_000;
+
+/// Anything a client can aim operations at: a single service pool
+/// ([`ServiceHandle`]) or a whole multi-primary cluster
+/// ([`ClusterRouter`]). A target names the primary that serves a campaign
+/// right now and keeps the redirect ledger: a stale-map
+/// [`RejectReason::WrongNode`] answer is a *retry* signal, not a
+/// submission failure, so the caller resubmits against the owner the
+/// service named instead of counting a rejection.
+pub trait DriveTarget: Clone + Send + Sync + 'static {
+    /// The campaign the target serves when the caller names none.
+    fn default_campaign(&self) -> CampaignId;
+
+    /// The primary that serves `campaign` right now. An owner outside the
+    /// target's node set surfaces as the same `WrongNode` rejection the
+    /// service would send.
+    fn owner_primary(&self, campaign: CampaignId) -> Result<&ServiceHandle, ServiceError>;
+
+    /// A `WrongNode` answer was harvested: learn the placement so the
+    /// retry aims right. A single pool has nothing to learn.
+    fn note_redirect(&self, _campaign: CampaignId, _owner: NodeId) {}
+
+    /// An operation succeeded after at least one redirect (forwarding
+    /// accounting). A single pool keeps no such ledger.
+    fn note_forwarded(&self, _campaign: CampaignId) {}
+}
+
+impl DriveTarget for ServiceHandle {
+    fn default_campaign(&self) -> CampaignId {
+        ServiceHandle::default_campaign(self)
+    }
+
+    fn owner_primary(&self, _campaign: CampaignId) -> Result<&ServiceHandle, ServiceError> {
+        Ok(self)
+    }
+}
+
+/// The stale-map redirect policy, shared by the blocking
+/// [`ClusterRouter::write`] and every pipelined caller (the crowd drive
+/// harvests its tickets through it). `first` is the outcome of the first
+/// attempt; every `WrongNode` answer is counted and learned through
+/// `target`, then `retry` runs against the primary now believed to own
+/// `campaign`. The first retry is immediate (a settled stale map
+/// converges in one); later ones park ~1 ms, riding out a migration's
+/// fence window in which source and destination both redirect until the
+/// tail is adopted. An owner outside the target's node set ends the loop
+/// with its `WrongNode` rejection, uncounted.
+pub fn absorb_redirects<D: DriveTarget, T>(
+    target: &D,
+    campaign: CampaignId,
+    first: Result<T, ServiceError>,
+    retry: impl Fn(&ServiceHandle) -> Result<T, ServiceError>,
+) -> Result<T, ServiceError> {
+    let mut outcome = first;
+    let mut redirects = 0usize;
+    loop {
+        match outcome {
+            Ok(value) => {
+                if redirects > 0 {
+                    target.note_forwarded(campaign);
+                }
+                return Ok(value);
+            }
+            Err(ServiceError::Rejected(RejectReason::WrongNode { owner })) => {
+                redirects += 1;
+                if redirects > REDIRECT_LIMIT {
+                    return Err(ServiceError::Rejected(RejectReason::WrongNode { owner }));
+                }
+                target.note_redirect(campaign, owner);
+                if redirects > 1 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                outcome = retry(target.owner_primary(campaign)?);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
 
 /// One primary node of the cluster, as the router sees it: the write-side
 /// handle plus any read replicas tailing it.
@@ -150,8 +230,10 @@ impl ClusterRouter {
         }
     }
 
-    /// A one-node cluster: every campaign lives on `primary`, reads fan
-    /// out to `replicas` — the [`ReadRouter`] deployment shape.
+    /// A one-node cluster — the single primary + replicas deployment:
+    /// every campaign lives on `primary`, writes go there, and reads fan
+    /// out across `replicas` (an empty list degrades to an all-primary
+    /// router).
     pub fn single(id: NodeId, primary: ServiceHandle, replicas: Vec<ServiceHandle>) -> Self {
         Self::new(
             vec![ClusterNode {
@@ -198,27 +280,6 @@ impl ClusterRouter {
         }
     }
 
-    /// Records a `WrongNode` answer observed *outside* the router's own
-    /// retry loop (a pipelined ticket harvested by the caller): the
-    /// router learns the placement so the caller's retry aims right.
-    pub fn note_redirect(&self, campaign: CampaignId, owner: NodeId) {
-        self.wrong_node_redirects.fetch_add(1, Ordering::Relaxed);
-        self.learn(campaign, owner);
-    }
-
-    /// Records a write that succeeded after an out-of-loop redirect (the
-    /// pipelined twin of the blocking path's forwarding accounting).
-    pub fn note_forwarded(&self, campaign: CampaignId) {
-        self.forwarded_writes.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = self.entry_of(self.owner_of(campaign)) {
-            entry.node.primary.metrics().forwarded_submission();
-        }
-    }
-
-    fn learn(&self, campaign: CampaignId, owner: NodeId) {
-        self.learned.lock().insert(campaign, owner);
-    }
-
     /// The node currently believed to own `campaign`: a learned placement
     /// if one is pending, the directory otherwise. A one-node router
     /// skips the lookup — there is nothing to resolve.
@@ -247,56 +308,24 @@ impl ClusterRouter {
         }
     }
 
-    /// Runs one write with redirect-retry: resolve the owner, call its
-    /// primary, and absorb `WrongNode` answers by learning the named
-    /// owner and retrying there. The first retry is immediate (the
-    /// settled stale-map case converges in one); later ones park ~1 ms,
-    /// riding out a migration's fence window in which source and
-    /// destination both redirect until the tail is adopted.
-    fn write<T>(
+    /// Runs one write on the owning node's primary under the redirect
+    /// policy: `WrongNode` answers are absorbed by learning the named
+    /// owner and running `op` again there (see the module docs).
+    pub fn write<T>(
         &self,
         campaign: CampaignId,
         op: impl Fn(&ServiceHandle) -> Result<T, ServiceError>,
     ) -> Result<T, ServiceError> {
         let started = Instant::now();
-        let mut redirects = 0usize;
-        loop {
-            let owner = self.owner_of(campaign);
-            let Some(entry) = self.entry_of(owner) else {
-                return Err(ServiceError::Rejected(RejectReason::WrongNode { owner }));
-            };
-            // Routing work so far — directory lookup plus every absorbed
-            // redirect and fence-window park — is what this hop cost the
-            // request before it reached the node it is about to try.
-            entry
-                .node
-                .primary
-                .metrics()
-                .router_hop_recorded(started.elapsed());
-            match op(&entry.node.primary) {
-                Ok(value) => {
-                    if redirects > 0 {
-                        self.forwarded_writes.fetch_add(1, Ordering::Relaxed);
-                        entry.node.primary.metrics().forwarded_submission();
-                    }
-                    return Ok(value);
-                }
-                Err(ServiceError::Rejected(RejectReason::WrongNode { owner: actual })) => {
-                    redirects += 1;
-                    if redirects > WRITE_REDIRECT_LIMIT {
-                        return Err(ServiceError::Rejected(RejectReason::WrongNode {
-                            owner: actual,
-                        }));
-                    }
-                    self.wrong_node_redirects.fetch_add(1, Ordering::Relaxed);
-                    self.learn(campaign, actual);
-                    if redirects > 1 {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        // Routing work so far — directory lookup plus every absorbed
+        // redirect and fence-window park — is what this hop cost the
+        // request before it reached the node it is about to try.
+        let hop = |primary: &ServiceHandle| {
+            primary.metrics().router_hop_recorded(started.elapsed());
+            op(primary)
+        };
+        let first = hop(self.owner_primary(campaign)?);
+        absorb_redirects(self, campaign, first, hop)
     }
 
     /// Whether a replica's refusal warrants retrying on its primary: the
@@ -305,18 +334,16 @@ impl ClusterRouter {
     fn retry_on_primary(error: &ServiceError) -> bool {
         matches!(
             error,
-            ServiceError::Disconnected
-                | ServiceError::Busy { .. }
-                | ServiceError::Rejected(RejectReason::UnknownCampaign(_))
+            ServiceError::Disconnected | ServiceError::Rejected(RejectReason::UnknownCampaign(_))
         )
     }
 
-    /// Runs one read on the owning node: next replica in round-robin
+    /// Runs one pure read on the owning node: next replica in round-robin
     /// order, primary fallback. An owner outside the router's node set
     /// falls back to the first node — a fenced ex-owner still serves
     /// reads as a consistent-but-stale replica, so any node beats an
     /// error for read traffic.
-    fn read<T>(
+    pub fn read<T>(
         &self,
         campaign: CampaignId,
         op: impl Fn(&ServiceHandle) -> Result<T, ServiceError>,
@@ -342,127 +369,27 @@ impl ClusterRouter {
             Err(e) => Err(e),
         }
     }
+}
 
-    // ------------------------------------------------------------------
-    // Reads: owning node, replica-first.
-    // ------------------------------------------------------------------
-
-    /// Campaign status, served replica-first on the owning node.
-    pub fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError> {
-        self.read(campaign, |h| h.status_in(campaign))
+impl DriveTarget for ClusterRouter {
+    fn default_campaign(&self) -> CampaignId {
+        self.nodes[0].node.primary.default_campaign()
     }
 
-    /// Inferred truths under the current state, served replica-first.
-    pub fn peek_report_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.read(campaign, |h| h.peek_report_in(campaign))
+    fn owner_primary(&self, campaign: CampaignId) -> Result<&ServiceHandle, ServiceError> {
+        ClusterRouter::owner_primary(self, campaign)
     }
 
-    /// Serialized campaign state, served replica-first.
-    pub fn snapshot_state_in(&self, campaign: CampaignId) -> Result<Vec<u8>, ServiceError> {
-        self.read(campaign, |h| h.snapshot_state_in(campaign))
+    fn note_redirect(&self, campaign: CampaignId, owner: NodeId) {
+        self.wrong_node_redirects.fetch_add(1, Ordering::Relaxed);
+        self.learned.lock().insert(campaign, owner);
     }
 
-    // ------------------------------------------------------------------
-    // Writes: owner-routed, redirect-retried.
-    // ------------------------------------------------------------------
-
-    /// "A worker comes and requests tasks" — owner's primary (assignment
-    /// reads *and then consumes* budget as answers flow back).
-    pub fn request_tasks_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<WorkRequest, ServiceError> {
-        self.write(campaign, |h| h.request_tasks_in(campaign, worker))
-    }
-
-    /// Pipelined assignment request against the current owner. Redirects
-    /// surface through the ticket; callers that harvest them should
-    /// [`note_redirect`](Self::note_redirect) and resubmit.
-    pub fn request_tasks_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.owner_primary(campaign)?
-            .request_tasks_ticket_in(campaign, worker)
-    }
-
-    /// Assignment subscription (push/hybrid dispatch) — owner's primary.
-    pub fn subscribe_assignments_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.owner_primary(campaign)?
-            .subscribe_assignments_ticket_in(campaign, worker)
-    }
-
-    /// Drops a parked assignment subscription — owner's primary.
-    pub fn unsubscribe_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<(), ServiceError> {
-        self.write(campaign, |h| h.unsubscribe_in(campaign, worker))
-    }
-
-    /// Golden-HIT submission — owner's primary.
-    pub fn submit_golden_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<(), ServiceError> {
-        self.write(campaign, |h| {
-            h.submit_golden_in(campaign, worker, answers.clone())
-        })
-    }
-
-    /// Pipelined golden-HIT submission against the current owner.
-    pub fn submit_golden_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError> {
-        self.owner_primary(campaign)?
-            .submit_golden_ticket_in(campaign, worker, answers)
-    }
-
-    /// Single-answer submission — owner's primary.
-    pub fn submit_answer_in(
-        &self,
-        campaign: CampaignId,
-        answer: Answer,
-    ) -> Result<(), ServiceError> {
-        self.write(campaign, |h| h.submit_answer_in(campaign, answer))
-    }
-
-    /// Batched answer submission — owner's primary.
-    pub fn submit_answer_batch_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<crate::message::BatchOutcome, ServiceError> {
-        self.write(campaign, |h| {
-            h.submit_answer_batch_in(campaign, answers.clone())
-        })
-    }
-
-    /// Pipelined batched submission against the current owner.
-    pub fn submit_answer_batch_ticket_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<crate::message::BatchOutcome>, ServiceError> {
-        self.owner_primary(campaign)?
-            .submit_answer_batch_ticket_in(campaign, answers)
-    }
-
-    /// Finalization (runs inference, logs `Finished`) — owner's primary.
-    pub fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.write(campaign, |h| h.finish_in(campaign))
+    fn note_forwarded(&self, campaign: CampaignId) {
+        self.forwarded_writes.fetch_add(1, Ordering::Relaxed);
+        if let Some(entry) = self.entry_of(self.owner_of(campaign)) {
+            entry.node.primary.metrics().forwarded_submission();
+        }
     }
 }
 
@@ -471,154 +398,6 @@ impl std::fmt::Debug for ClusterRouter {
         f.debug_struct("ClusterRouter")
             .field("nodes", &self.nodes.len())
             .field("epoch", &self.map.lock().epoch())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// Where a [`ReadRouter`] sent reads so far (observability for tests,
-/// examples, and capacity planning).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadRoutingStats {
-    /// Reads served by a replica.
-    pub replica_reads: u64,
-    /// Reads served by the primary (no replicas, or fallback).
-    pub primary_reads: u64,
-    /// Reads that fell back to the primary after a replica refused or
-    /// disconnected.
-    pub fallbacks: u64,
-}
-
-impl std::fmt::Display for ReadRoutingStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "reads: {} replica / {} primary ({} fallbacks)",
-            self.replica_reads, self.primary_reads, self.fallbacks
-        )
-    }
-}
-
-/// The routing client of a single primary + replicas deployment — a
-/// one-node [`ClusterRouter`] with the pre-cluster API kept intact.
-#[derive(Clone)]
-pub struct ReadRouter {
-    inner: ClusterRouter,
-}
-
-impl ReadRouter {
-    /// Routes writes to `primary` and fans reads out across `replicas`
-    /// (an empty list degrades to an all-primary router).
-    pub fn new(primary: ServiceHandle, replicas: Vec<ServiceHandle>) -> Self {
-        ReadRouter {
-            inner: ClusterRouter::single(NodeId(0), primary, replicas),
-        }
-    }
-
-    /// The write-side handle.
-    pub fn primary(&self) -> &ServiceHandle {
-        &self.inner.nodes[0].node.primary
-    }
-
-    /// The attached replica handles.
-    pub fn replicas(&self) -> &[ServiceHandle] {
-        &self.inner.nodes[0].node.replicas
-    }
-
-    /// Read-routing accounting so far.
-    pub fn stats(&self) -> ReadRoutingStats {
-        let stats = self.inner.stats();
-        ReadRoutingStats {
-            replica_reads: stats.replica_reads,
-            primary_reads: stats.primary_reads,
-            fallbacks: stats.fallbacks,
-        }
-    }
-
-    /// Campaign status, served replica-first.
-    pub fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError> {
-        self.inner.status_in(campaign)
-    }
-
-    /// Inferred truths under the current state, served replica-first.
-    pub fn peek_report_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.inner.peek_report_in(campaign)
-    }
-
-    /// Serialized campaign state, served replica-first.
-    pub fn snapshot_state_in(&self, campaign: CampaignId) -> Result<Vec<u8>, ServiceError> {
-        self.inner.snapshot_state_in(campaign)
-    }
-
-    /// "A worker comes and requests tasks" — primary only (assignment
-    /// reads *and then consumes* budget as answers flow back; a follower
-    /// refuses it).
-    pub fn request_tasks_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<WorkRequest, ServiceError> {
-        self.inner.request_tasks_in(campaign, worker)
-    }
-
-    /// Assignment subscription (push/hybrid dispatch) — primary only:
-    /// like polling, a pushed assignment leads to answers that consume the
-    /// primary's budget, and a follower refuses the subscribe outright.
-    pub fn subscribe_assignments_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.inner.subscribe_assignments_ticket_in(campaign, worker)
-    }
-
-    /// Drops a parked assignment subscription — primary only.
-    pub fn unsubscribe_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<(), ServiceError> {
-        self.inner.unsubscribe_in(campaign, worker)
-    }
-
-    /// Golden-HIT submission — primary only.
-    pub fn submit_golden_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<(), ServiceError> {
-        self.inner.submit_golden_in(campaign, worker, answers)
-    }
-
-    /// Single-answer submission — primary only.
-    pub fn submit_answer_in(
-        &self,
-        campaign: CampaignId,
-        answer: Answer,
-    ) -> Result<(), ServiceError> {
-        self.inner.submit_answer_in(campaign, answer)
-    }
-
-    /// Batched answer submission — primary only.
-    pub fn submit_answer_batch_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<crate::message::BatchOutcome, ServiceError> {
-        self.inner.submit_answer_batch_in(campaign, answers)
-    }
-
-    /// Finalization (runs inference, logs `Finished`) — primary only.
-    pub fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.inner.finish_in(campaign)
-    }
-}
-
-impl std::fmt::Debug for ReadRouter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadRouter")
-            .field("replicas", &self.replicas().len())
             .field("stats", &self.stats())
             .finish()
     }

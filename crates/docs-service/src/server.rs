@@ -14,16 +14,21 @@
 //! * **The router is the handle**: [`ServiceHandle`] computes the owning
 //!   shard client-side and enqueues directly on that shard's channel —
 //!   routing adds no extra hop or thread.
-//! * **Submission and completion are split**: every operation has a
-//!   non-blocking `*_ticket_in` form that enqueues a correlation-tagged
-//!   [`RequestEnvelope`](crate::message::RequestEnvelope) and returns a
+//! * **One method per operation**: each [`Request`] kind has one
+//!   [`ServiceHandle`] method (the `create_campaign*` forms differ only in
+//!   the persistence they request, and `try_request_tasks_in` is the
+//!   fail-fast twin of `request_tasks_ticket_in`). Worker-plane
+//!   operations (assignment, subscription, golden and answer submission)
+//!   enqueue a correlation-tagged
+//!   [`RequestEnvelope`](crate::message::RequestEnvelope) and return a
 //!   [`Ticket`] immediately, so one client thread can keep many requests
-//!   pipelined per shard. The blocking methods are thin `submit().wait()`
-//!   wrappers over the same path.
+//!   pipelined per shard; a blocking caller writes `?.wait()`. Requester,
+//!   read, replication and control operations block for their completion.
 //! * **Ingress is bounded**: each shard's queue admits at most
-//!   [`ServiceConfig::queue_capacity`] requests. Blocking submissions park
-//!   until a slot frees (backpressure); the `try_*` forms fail fast with
-//!   [`ServiceError::Busy`] and bump the shard's `busy_rejections` counter
+//!   [`ServiceConfig::queue_capacity`] requests. Submissions park until a
+//!   slot frees (backpressure); the one fail-fast entry point,
+//!   [`ServiceHandle::try_request_tasks_in`], returns
+//!   [`ServiceError::Busy`] and bumps the shard's `busy_rejections` counter
 //!   instead of letting the queue grow without limit.
 //! * **Failures are data**: every refusal carries a matchable
 //!   [`RejectReason`] ([`ServiceError::Rejected`]) whose `Display` output
@@ -38,9 +43,10 @@
 //!   campaign on the shard and prune old segments.
 //!   [`DocsService::recover`] rebuilds the whole registry from snapshots +
 //!   log replay — across restarts that change the shard count.
-//! * **Backward compatibility**: [`DocsService::spawn`] registers its
-//!   `Docs` as the *default campaign* and the un-suffixed handle methods
-//!   target it, so single-campaign callers are unchanged.
+//! * **Single-campaign deployments**: [`DocsService::spawn`] registers its
+//!   `Docs` as the *default campaign* ([`ServiceHandle::default_campaign`])
+//!   and [`DocsService::join`] returns it, so a seed-style caller names one
+//!   campaign id and otherwise uses the same methods as everyone else.
 
 use crate::message::{BatchOutcome, Completion, CorrelationId, Request, RequestEnvelope, Response};
 use crate::metrics::{OpKind, ServiceMetrics};
@@ -285,8 +291,9 @@ pub struct ServiceConfig {
     /// Per-shard ingress-queue bound: at most this many requests can sit
     /// in a shard's queue (one more may already be executing on the shard
     /// thread, so worst-case in-shard demand is `queue_capacity + 1`).
-    /// Blocking submissions park until a slot frees; `try_*` submissions
-    /// fail fast with [`ServiceError::Busy`]. `0` removes the bound (the
+    /// Submissions park until a slot frees;
+    /// [`ServiceHandle::try_request_tasks_in`] fails fast with
+    /// [`ServiceError::Busy`]. `0` removes the bound (the
     /// pre-backpressure behavior, kept as an escape hatch for harnesses
     /// that measure raw queue growth).
     pub queue_capacity: usize,
@@ -424,24 +431,33 @@ struct Inbound {
 /// How a submission behaves when the shard's ingress queue is full.
 #[derive(Clone, Copy)]
 enum Admission {
-    /// Park until a slot frees — backpressure, the blocking API's choice.
+    /// Park until a slot frees — backpressure, every method's choice but
+    /// one.
     Block,
-    /// Fail fast with [`ServiceError::Busy`].
+    /// Fail fast with [`ServiceError::Busy`] —
+    /// [`ServiceHandle::try_request_tasks_in`] only.
     FailFast,
 }
 
 /// Cloneable routing client for a running [`DocsService`].
 ///
-/// Two API styles over one wire protocol:
+/// One method per operation over one wire protocol:
 ///
-/// * the **blocking** methods ([`ServiceHandle::request_tasks_in`],
-///   [`ServiceHandle::submit_answer_batch_in`], …) submit and immediately
-///   [`Ticket::wait`] — one synchronous round-trip, exactly like an HTTP
-///   call to the paper's Django backend;
-/// * the **pipelined** methods (`*_ticket_in` to park on a full queue,
-///   `try_*_in` to fail fast with [`ServiceError::Busy`]) return the
-///   [`Ticket`] itself, letting one client thread keep many operations in
-///   flight per shard and harvest completions when it pleases.
+/// * **worker plane** — [`request_tasks_ticket_in`](Self::request_tasks_ticket_in),
+///   [`subscribe_assignments_ticket_in`](Self::subscribe_assignments_ticket_in),
+///   [`submit_golden_ticket_in`](Self::submit_golden_ticket_in),
+///   [`submit_answer_ticket_in`](Self::submit_answer_ticket_in) and
+///   [`submit_answer_batch_ticket_in`](Self::submit_answer_batch_ticket_in)
+///   return the [`Ticket`], letting one client thread keep many
+///   operations in flight per shard and harvest completions when it
+///   pleases; `?.wait()` turns any of them into one synchronous
+///   round-trip, exactly like an HTTP call to the paper's Django backend.
+///   [`try_request_tasks_in`](Self::try_request_tasks_in) is the single
+///   fail-fast form ([`ServiceError::Busy`] on a full queue);
+/// * **requester plane, reads, replication and control** — `create_campaign*`,
+///   `finish_in`, `status_in`, `peek_report_in`, `snapshot_state_in`,
+///   `unsubscribe_in`, `replicate_*`, `fence_in`, the migration steps and
+///   `install_cluster_map` block until their completion arrives.
 ///
 /// Handles are cheap to clone and safe to use from many threads.
 #[derive(Clone)]
@@ -573,7 +589,8 @@ impl ServiceHandle {
         self.create_campaign_inner(docs, Some(policy))
     }
 
-    /// The campaign the un-suffixed convenience methods target.
+    /// The campaign [`DocsService::spawn`] registered its `Docs` as
+    /// (`CampaignId(0)`; an empty or recovered pool reports the same id).
     pub fn default_campaign(&self) -> CampaignId {
         self.default_campaign
     }
@@ -607,10 +624,11 @@ impl ServiceHandle {
     }
 
     // ------------------------------------------------------------------
-    // Pipelined submissions: enqueue now, harvest the completion later.
+    // Worker plane: the latency-critical operations return their ticket
+    // (`?.wait()` makes any of them a blocking round-trip).
     // ------------------------------------------------------------------
 
-    /// Submits "a worker requests tasks" on one campaign and returns the
+    /// "A worker comes and requests tasks" on one campaign: returns the
     /// completion handle without waiting. Parks if the shard's ingress
     /// queue is full.
     pub fn request_tasks_ticket_in(
@@ -625,9 +643,10 @@ impl ServiceHandle {
         )
     }
 
-    /// Fail-fast form of [`ServiceHandle::request_tasks_ticket_in`]:
-    /// returns [`ServiceError::Busy`] instead of parking when the shard's
-    /// ingress queue is at capacity.
+    /// Fail-fast form of [`ServiceHandle::request_tasks_ticket_in`] — the
+    /// service's one load-shedding entry point: returns
+    /// [`ServiceError::Busy`] instead of parking when the shard's ingress
+    /// queue is at capacity.
     pub fn try_request_tasks_in(
         &self,
         campaign: CampaignId,
@@ -659,45 +678,8 @@ impl ServiceHandle {
         )
     }
 
-    /// Fail-fast form of [`ServiceHandle::subscribe_assignments_ticket_in`].
-    pub fn try_subscribe_assignments_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<WorkRequest>, ServiceError> {
-        self.submit_with(
-            Request::Subscribe { campaign, worker },
-            Admission::FailFast,
-            decode_work,
-        )
-    }
-
-    /// Drops `(campaign, worker)`'s parked subscription, if any; the
-    /// outstanding subscribe ticket resolves with `Work(Done)`. Idempotent
-    /// — unsubscribing without a parked subscription still acks. The
-    /// hybrid client's fallback edge: unsubscribe, then poll.
-    pub fn unsubscribe_ticket_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<Ticket<()>, ServiceError> {
-        self.submit_with(
-            Request::Unsubscribe { campaign, worker },
-            Admission::Block,
-            decode_ack,
-        )
-    }
-
-    /// Blocking form of [`ServiceHandle::unsubscribe_ticket_in`].
-    pub fn unsubscribe_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<(), ServiceError> {
-        self.unsubscribe_ticket_in(campaign, worker)?.wait()
-    }
-
-    /// Submits a golden HIT on one campaign without waiting for the ack.
+    /// Submits a new worker's golden-HIT answers on one campaign without
+    /// waiting for the ack.
     pub fn submit_golden_ticket_in(
         &self,
         campaign: CampaignId,
@@ -715,24 +697,6 @@ impl ServiceHandle {
         )
     }
 
-    /// Fail-fast form of [`ServiceHandle::submit_golden_ticket_in`].
-    pub fn try_submit_golden_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<Ticket<()>, ServiceError> {
-        self.submit_with(
-            Request::SubmitGolden {
-                campaign,
-                worker,
-                answers,
-            },
-            Admission::FailFast,
-            decode_ack,
-        )
-    }
-
     /// Submits one answer on one campaign without waiting for the ack.
     pub fn submit_answer_ticket_in(
         &self,
@@ -746,23 +710,14 @@ impl ServiceHandle {
         )
     }
 
-    /// Fail-fast form of [`ServiceHandle::submit_answer_ticket_in`].
-    pub fn try_submit_answer_in(
-        &self,
-        campaign: CampaignId,
-        answer: Answer,
-    ) -> Result<Ticket<()>, ServiceError> {
-        self.submit_with(
-            Request::SubmitAnswer { campaign, answer },
-            Admission::FailFast,
-            decode_ack,
-        )
-    }
-
     /// Submits a whole HIT's answers on one campaign without waiting for
     /// the per-answer outcome — the pipelined driver's hot path: the next
     /// HIT request can ride the wire while this batch is still being
-    /// validated, logged, and applied.
+    /// validated, logged, and applied. The batch is one WAL record, one
+    /// group-commit sync, and one benefit-index repair on the owning
+    /// shard; rejection is per answer, and the [`BatchOutcome`] names
+    /// which answers were refused and why, exactly as individual
+    /// submissions would have been.
     pub fn submit_answer_batch_ticket_in(
         &self,
         campaign: CampaignId,
@@ -775,76 +730,42 @@ impl ServiceHandle {
         )
     }
 
-    /// Fail-fast form of [`ServiceHandle::submit_answer_batch_ticket_in`].
-    pub fn try_submit_answer_batch_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<Ticket<BatchOutcome>, ServiceError> {
-        self.submit_with(
-            Request::SubmitAnswerBatch { campaign, answers },
-            Admission::FailFast,
-            decode_batch,
-        )
-    }
-
-    /// Submits a finish (final inference + report) without waiting.
-    pub fn finish_ticket_in(
-        &self,
-        campaign: CampaignId,
-    ) -> Result<Ticket<RequesterReport>, ServiceError> {
-        self.submit_with(
-            Request::Finish { campaign },
-            Admission::Block,
-            decode_report,
-        )
-    }
-
-    /// Fail-fast form of [`ServiceHandle::finish_ticket_in`].
-    pub fn try_finish_in(
-        &self,
-        campaign: CampaignId,
-    ) -> Result<Ticket<RequesterReport>, ServiceError> {
-        self.submit_with(
-            Request::Finish { campaign },
-            Admission::FailFast,
-            decode_report,
-        )
-    }
-
     // ------------------------------------------------------------------
-    // Pure reads: served by primaries and followers alike — the
-    // operations read-routing fans out to replicas.
+    // Requester plane and pure reads: one blocking round-trip each. The
+    // reads are served by primaries and followers alike.
     // ------------------------------------------------------------------
 
-    /// Submits a status read on one campaign without waiting.
-    pub fn status_ticket_in(
+    /// Submits `request` (parking on a full queue) and waits for its
+    /// completion.
+    fn call<T>(
+        &self,
+        request: Request,
+        decode: fn(Response) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        self.submit_with(request, Admission::Block, decode)?.wait()
+    }
+
+    /// Drops `(campaign, worker)`'s parked subscription, if any; the
+    /// outstanding subscribe ticket resolves with `Work(Done)`. Idempotent
+    /// — unsubscribing without a parked subscription still acks. The
+    /// hybrid client's fallback edge: unsubscribe, then poll.
+    pub fn unsubscribe_in(
         &self,
         campaign: CampaignId,
-    ) -> Result<Ticket<CampaignStatus>, ServiceError> {
-        self.submit_with(
-            Request::Status { campaign },
-            Admission::Block,
-            decode_status,
-        )
+        worker: WorkerId,
+    ) -> Result<(), ServiceError> {
+        self.call(Request::Unsubscribe { campaign, worker }, decode_ack)
+    }
+
+    /// Finalizes one campaign's inference and returns its report.
+    pub fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
+        self.call(Request::Finish { campaign }, decode_report)
     }
 
     /// The campaign's observable serving state (answers collected, worker
     /// counts, budget) — a pure read, servable by a follower.
     pub fn status_in(&self, campaign: CampaignId) -> Result<CampaignStatus, ServiceError> {
-        self.status_ticket_in(campaign)?.wait()
-    }
-
-    /// Submits an inferred-truths read on one campaign without waiting.
-    pub fn peek_report_ticket_in(
-        &self,
-        campaign: CampaignId,
-    ) -> Result<Ticket<RequesterReport>, ServiceError> {
-        self.submit_with(
-            Request::PeekReport { campaign },
-            Admission::Block,
-            decode_report,
-        )
+        self.call(Request::Status { campaign }, decode_status)
     }
 
     /// The requester report under the campaign's *current* state — unlike
@@ -852,19 +773,14 @@ impl ServiceHandle {
     /// full-inference pass is forced, nothing is logged), so this is a
     /// pure read a follower serves locally.
     pub fn peek_report_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.peek_report_ticket_in(campaign)?.wait()
+        self.call(Request::PeekReport { campaign }, decode_report)
     }
 
     /// The campaign's full serialized `CampaignSnapshot` — the
     /// byte-identity probe: a follower at watermark `w` returns exactly
     /// the bytes the primary's state had at `w`.
     pub fn snapshot_state_in(&self, campaign: CampaignId) -> Result<Vec<u8>, ServiceError> {
-        self.submit_with(
-            Request::SnapshotState { campaign },
-            Admission::Block,
-            decode_state,
-        )?
-        .wait()
+        self.call(Request::SnapshotState { campaign }, decode_state)
     }
 
     // ------------------------------------------------------------------
@@ -879,16 +795,14 @@ impl ServiceHandle {
         seq: u64,
         snapshot: Vec<u8>,
     ) -> Result<(), ServiceError> {
-        self.submit_with(
+        self.call(
             Request::InstallSnapshot {
                 campaign,
                 seq,
                 snapshot,
             },
-            Admission::Block,
             decode_ack,
-        )?
-        .wait()
+        )
     }
 
     /// Applies one replicated event at its primary-assigned sequence
@@ -900,16 +814,14 @@ impl ServiceHandle {
         seq: u64,
         event: CampaignEvent,
     ) -> Result<(), ServiceError> {
-        self.submit_with(
+        self.call(
             Request::ApplyReplicated {
                 campaign,
                 seq,
                 event: Box::new(event),
             },
-            Admission::Block,
             decode_ack,
-        )?
-        .wait()
+        )
     }
 
     // ------------------------------------------------------------------
@@ -923,12 +835,7 @@ impl ServiceHandle {
     /// campaign is refused with [`RejectReason::WrongNode`] naming
     /// `owner`. The linearization point of a live migration.
     pub fn fence_in(&self, campaign: CampaignId, owner: NodeId) -> Result<u64, ServiceError> {
-        self.submit_with(
-            Request::Fence { campaign, owner },
-            Admission::Block,
-            decode_fenced,
-        )?
-        .wait()
+        self.call(Request::Fence { campaign, owner }, decode_fenced)
     }
 
     /// Begins migration intake for `campaign`: this pool admits the
@@ -940,23 +847,13 @@ impl ServiceHandle {
         campaign: CampaignId,
         source: NodeId,
     ) -> Result<(), ServiceError> {
-        self.submit_with(
-            Request::PrepareMigration { campaign, source },
-            Admission::Block,
-            decode_ack,
-        )?
-        .wait()
+        self.call(Request::PrepareMigration { campaign, source }, decode_ack)
     }
 
     /// Adopts the migrated campaign's write path: ends intake, clears any
     /// stale fence from a previous round-trip.
     pub fn complete_migration_in(&self, campaign: CampaignId) -> Result<(), ServiceError> {
-        self.submit_with(
-            Request::CompleteMigration { campaign },
-            Admission::Block,
-            decode_ack,
-        )?
-        .wait()
+        self.call(Request::CompleteMigration { campaign }, decode_ack)
     }
 
     /// Installs a routing directory on **every** shard of this pool
@@ -979,88 +876,6 @@ impl ServiceHandle {
             ticket.wait()?;
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Blocking API: submit + wait, one synchronous round-trip.
-    // ------------------------------------------------------------------
-
-    /// "A worker comes and requests tasks" on one campaign.
-    pub fn request_tasks_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-    ) -> Result<WorkRequest, ServiceError> {
-        self.request_tasks_ticket_in(campaign, worker)?.wait()
-    }
-
-    /// Submits a new worker's golden-HIT answers on one campaign.
-    pub fn submit_golden_in(
-        &self,
-        campaign: CampaignId,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<(), ServiceError> {
-        self.submit_golden_ticket_in(campaign, worker, answers)?
-            .wait()
-    }
-
-    /// Submits one answer on one campaign.
-    pub fn submit_answer_in(
-        &self,
-        campaign: CampaignId,
-        answer: Answer,
-    ) -> Result<(), ServiceError> {
-        self.submit_answer_ticket_in(campaign, answer)?.wait()
-    }
-
-    /// Submits a whole HIT's answers on one campaign in a single
-    /// round-trip (one WAL record, one group-commit sync, one
-    /// benefit-index repair on the owning shard). Rejection is per answer:
-    /// the returned [`BatchOutcome`] names which answers were refused and
-    /// why, exactly as individual submissions would have been.
-    pub fn submit_answer_batch_in(
-        &self,
-        campaign: CampaignId,
-        answers: Vec<Answer>,
-    ) -> Result<BatchOutcome, ServiceError> {
-        self.submit_answer_batch_ticket_in(campaign, answers)?
-            .wait()
-    }
-
-    /// Finalizes one campaign's inference and returns its report.
-    pub fn finish_in(&self, campaign: CampaignId) -> Result<RequesterReport, ServiceError> {
-        self.finish_ticket_in(campaign)?.wait()
-    }
-
-    /// "A worker comes and requests tasks" (default campaign).
-    pub fn request_tasks(&self, worker: WorkerId) -> Result<WorkRequest, ServiceError> {
-        self.request_tasks_in(self.default_campaign, worker)
-    }
-
-    /// Submits a new worker's golden-HIT answers (default campaign).
-    pub fn submit_golden(
-        &self,
-        worker: WorkerId,
-        answers: Vec<(TaskId, ChoiceIndex)>,
-    ) -> Result<(), ServiceError> {
-        self.submit_golden_in(self.default_campaign, worker, answers)
-    }
-
-    /// Submits one answer (default campaign).
-    pub fn submit_answer(&self, answer: Answer) -> Result<(), ServiceError> {
-        self.submit_answer_in(self.default_campaign, answer)
-    }
-
-    /// Submits an answer batch (default campaign).
-    pub fn submit_answer_batch(&self, answers: Vec<Answer>) -> Result<BatchOutcome, ServiceError> {
-        self.submit_answer_batch_in(self.default_campaign, answers)
-    }
-
-    /// Finalizes inference and returns the requester report (default
-    /// campaign).
-    pub fn finish(&self) -> Result<RequesterReport, ServiceError> {
-        self.finish_in(self.default_campaign)
     }
 
     /// The shared latency/queue/durability metrics.
@@ -1183,6 +998,46 @@ struct ShardDurability {
 }
 
 impl ShardDurability {
+    /// Opens shard `shard`'s campaign log under `d.dir`, registers the
+    /// recovered `persisted` campaigns at their last durable sequence, and
+    /// writes each a fresh baseline snapshot into *this* epoch's directory,
+    /// so the next recovery replays only events from now on.
+    fn open(
+        shard: usize,
+        d: &DurabilityConfig,
+        sink: Option<ReplicationSink>,
+        registry: &CampaignRegistry,
+        persisted: Vec<(CampaignId, FlushPolicy, u64)>,
+        metrics: &ServiceMetrics,
+    ) -> docs_types::Result<Self> {
+        let mut log = CampaignLog::open(d.dir.join(format!("shard-{shard}")))?;
+        log.set_adaptive(d.adaptive);
+        // Every group commit reports its batch size and sync latency
+        // straight into the lock-free histograms.
+        let flush_metrics = metrics.clone();
+        log.set_flush_observer(Some(Arc::new(move |events, sync| {
+            flush_metrics.flush_recorded(events, sync);
+        })));
+        let mut durability = ShardDurability {
+            log,
+            persisted: BTreeSet::new(),
+            snapshotted_at: HashMap::new(),
+            snapshot_every: d.snapshot_every,
+            events_since_snapshot: 0,
+            observed_flushes: 0,
+            sink,
+            unshipped: Vec::new(),
+        };
+        for (campaign, policy, last_seq) in persisted {
+            durability.log.register(campaign, policy, last_seq);
+            durability.persisted.insert(campaign);
+            if let Some(docs) = registry.get(campaign) {
+                durability.snapshot_campaign(campaign, docs, metrics)?;
+            }
+        }
+        Ok(durability)
+    }
+
     fn snapshot_campaign(
         &mut self,
         campaign: CampaignId,
@@ -1768,14 +1623,11 @@ fn kind_of(request: &Request) -> OpKind {
 }
 
 /// What a shard starts with: its pre-built registry (empty on a fresh
-/// spawn, replayed on recovery) and, per persisted campaign, the flush
-/// policy plus the last durable sequence number.
+/// spawn, replayed on recovery) and its durability state, already holding
+/// every recovered campaign's baseline snapshot.
 struct ShardSeed {
     registry: CampaignRegistry,
-    persisted: Vec<(CampaignId, FlushPolicy, u64)>,
-    log: Option<CampaignLog>,
-    snapshot_every: u64,
-    sink: Option<ReplicationSink>,
+    durability: Option<ShardDurability>,
     /// The handle-level campaign-id allocator, shared so snapshot installs
     /// keep it ahead of every replicated id (see `install_snapshot`).
     next_campaign: Arc<AtomicU32>,
@@ -1795,29 +1647,7 @@ fn shard_loop(
     let seed_next_campaign = seed.next_campaign;
     let mut dispatch = DispatchTable::new(seed.dispatch);
     let mut ownership = OwnershipTable::new(seed.node);
-    let mut durability = seed.log.map(|log| ShardDurability {
-        log,
-        persisted: BTreeSet::new(),
-        snapshotted_at: HashMap::new(),
-        snapshot_every: seed.snapshot_every,
-        events_since_snapshot: 0,
-        observed_flushes: 0,
-        sink: seed.sink,
-        unshipped: Vec::new(),
-    });
-    // Recovered campaigns: seed sequence counters and write a fresh
-    // baseline snapshot into *this* epoch's directory, so the next recovery
-    // replays only events from now on.
-    if let Some(d) = durability.as_mut() {
-        for (campaign, policy, last_seq) in seed.persisted {
-            d.log.register(campaign, policy, last_seq);
-            d.persisted.insert(campaign);
-            if let Some(docs) = registry.get(campaign) {
-                d.snapshot_campaign(campaign, docs, &metrics)
-                    .expect("write recovery baseline snapshot");
-            }
-        }
-    }
+    let mut durability = seed.durability;
 
     // The loop ends when every handle (every sender) is dropped — or
     // instantly once a simulated crash is flagged.
@@ -2536,11 +2366,10 @@ impl DocsService {
             &config,
             seeds,
             max_id.map_or(0, |m| m + 1),
-            // The un-suffixed handle API keeps pointing at campaign 0. If
-            // the original default campaign was not durable, those calls
-            // fail with "unknown campaign c0" — a clear diagnostic —
-            // instead of silently re-targeting some other recovered
-            // campaign.
+            // The default campaign stays campaign 0. If the original one
+            // was not durable, calls naming it fail with "unknown campaign
+            // c0" — a clear diagnostic — instead of silently re-targeting
+            // some other recovered campaign.
             CampaignId(0),
             metrics,
         )
@@ -2575,32 +2404,35 @@ impl DocsService {
         let next_campaign = Arc::new(AtomicU32::new(next_campaign));
         let mut senders = Vec::with_capacity(shards);
         let mut joins = Vec::with_capacity(shards);
+        // Every shard's log is opened, and every recovered campaign's
+        // baseline written, before any shard thread starts: a failure
+        // surfaces here as an error instead of as a shard panic behind an
+        // already-returned pool.
+        let mut shard_seeds = Vec::with_capacity(shards);
         for (shard, (registry, persisted)) in seeds.into_iter().enumerate() {
-            let log = match &config.durability {
-                Some(d) => {
-                    let mut log = CampaignLog::open(d.dir.join(format!("shard-{shard}")))
-                        .map_err(|e| ServiceError::Rejected(e.into()))?;
-                    log.set_adaptive(d.adaptive);
-                    // Every group commit reports its batch size and sync
-                    // latency straight into the lock-free histograms.
-                    let flush_metrics = metrics.clone();
-                    log.set_flush_observer(Some(Arc::new(move |events, sync| {
-                        flush_metrics.flush_recorded(events, sync);
-                    })));
-                    Some(log)
-                }
+            let durability = match &config.durability {
+                Some(d) => Some(
+                    ShardDurability::open(
+                        shard,
+                        d,
+                        config.replication.clone(),
+                        &registry,
+                        persisted,
+                        &metrics,
+                    )
+                    .map_err(|e| ServiceError::Rejected(e.into()))?,
+                ),
                 None => None,
             };
-            let seed = ShardSeed {
+            shard_seeds.push(ShardSeed {
                 registry,
-                persisted,
-                log,
-                snapshot_every: config.durability.as_ref().map_or(0, |d| d.snapshot_every),
-                sink: config.replication.clone(),
+                durability,
                 next_campaign: Arc::clone(&next_campaign),
                 dispatch: config.dispatch.clone(),
                 node: config.node,
-            };
+            });
+        }
+        for (shard, seed) in shard_seeds.into_iter().enumerate() {
             // The ingress bound is the pool's admission control: blocking
             // submissions park on a full queue, fail-fast ones bounce.
             let (tx, rx) = match config.queue_capacity {
@@ -2733,7 +2565,10 @@ mod tests {
     /// Answers golden tasks correctly (ground truth is i % 2 by id).
     fn pass_golden(handle: &ServiceHandle, worker: WorkerId, golden: &[TaskId]) {
         let answers: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
-        handle.submit_golden(worker, answers).unwrap();
+        handle
+            .submit_golden_ticket_in(handle.default_campaign(), worker, answers)
+            .and_then(Ticket::wait)
+            .unwrap();
     }
 
     fn pass_golden_in(
@@ -2743,30 +2578,43 @@ mod tests {
         golden: &[TaskId],
     ) {
         let answers: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
-        handle.submit_golden_in(campaign, worker, answers).unwrap();
+        handle
+            .submit_golden_ticket_in(campaign, worker, answers)
+            .and_then(Ticket::wait)
+            .unwrap();
     }
 
     #[test]
     fn round_trip_golden_then_tasks_then_report() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         let w = WorkerId(0);
-        let golden = match handle.request_tasks(w).unwrap() {
+        let golden = match handle
+            .request_tasks_ticket_in(c, w)
+            .and_then(Ticket::wait)
+            .unwrap()
+        {
             WorkRequest::Golden(g) => g,
             other => panic!("expected golden HIT, got {other:?}"),
         };
         assert_eq!(golden.len(), 2);
         pass_golden(&handle, w, &golden);
-        let tasks = match handle.request_tasks(w).unwrap() {
+        let tasks = match handle
+            .request_tasks_ticket_in(c, w)
+            .and_then(Ticket::wait)
+            .unwrap()
+        {
             WorkRequest::Tasks(t) => t,
             other => panic!("expected task HIT, got {other:?}"),
         };
         assert_eq!(tasks.len(), 3);
         for t in tasks {
             handle
-                .submit_answer(Answer::new(w, t, t.index() % 2))
+                .submit_answer_ticket_in(c, Answer::new(w, t, t.index() % 2))
+                .and_then(Ticket::wait)
                 .unwrap();
         }
-        let report = handle.finish().unwrap();
+        let report = handle.finish_in(c).unwrap();
         assert_eq!(report.truths.len(), 9);
         assert_eq!(report.answers_collected, 3);
         drop(handle);
@@ -2776,13 +2624,24 @@ mod tests {
     #[test]
     fn duplicate_answer_is_rejected_with_a_matchable_reason() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         let w = WorkerId(1);
-        if let WorkRequest::Golden(g) = handle.request_tasks(w).unwrap() {
+        if let WorkRequest::Golden(g) = handle
+            .request_tasks_ticket_in(c, w)
+            .and_then(Ticket::wait)
+            .unwrap()
+        {
             pass_golden(&handle, w, &g);
         }
         let answer = Answer::new(w, TaskId(0), 0);
-        handle.submit_answer(answer).unwrap();
-        let err = handle.submit_answer(answer).unwrap_err();
+        handle
+            .submit_answer_ticket_in(c, answer)
+            .and_then(Ticket::wait)
+            .unwrap();
+        let err = handle
+            .submit_answer_ticket_in(c, answer)
+            .and_then(Ticket::wait)
+            .unwrap_err();
         // The rejection is typed end to end…
         assert_eq!(
             err,
@@ -2797,7 +2656,10 @@ mod tests {
             "request rejected: worker w1 already answered task t0"
         );
         // The service keeps serving after the rejection.
-        assert!(handle.request_tasks(w).is_ok());
+        assert!(handle
+            .request_tasks_ticket_in(c, w)
+            .and_then(Ticket::wait)
+            .is_ok());
         drop(handle);
         service.join();
     }
@@ -2805,16 +2667,19 @@ mod tests {
     #[test]
     fn pipelined_tickets_complete_in_submission_order() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         let w = WorkerId(0);
         // Golden first (blocking), so the pipelined requests get task HITs.
-        if let WorkRequest::Golden(g) = handle.request_tasks(w).unwrap() {
+        if let WorkRequest::Golden(g) = handle
+            .request_tasks_ticket_in(c, w)
+            .and_then(Ticket::wait)
+            .unwrap()
+        {
             pass_golden(&handle, w, &g);
         }
         // Pipeline: a HIT request, its answers, and the next HIT request —
         // all in flight before the first completion is harvested.
-        let first = handle
-            .request_tasks_ticket_in(handle.default_campaign(), w)
-            .unwrap();
+        let first = handle.request_tasks_ticket_in(c, w).unwrap();
         assert!(handle.metrics().shard(0).in_flight >= 1);
         let hit = match first.wait().unwrap() {
             WorkRequest::Tasks(t) => t,
@@ -2824,12 +2689,8 @@ mod tests {
             .iter()
             .map(|&t| Answer::new(w, t, t.index() % 2))
             .collect();
-        let batch_ticket = handle
-            .submit_answer_batch_ticket_in(handle.default_campaign(), answers)
-            .unwrap();
-        let next_ticket = handle
-            .request_tasks_ticket_in(handle.default_campaign(), w)
-            .unwrap();
+        let batch_ticket = handle.submit_answer_batch_ticket_in(c, answers).unwrap();
+        let next_ticket = handle.request_tasks_ticket_in(c, w).unwrap();
         assert!(
             batch_ticket.correlation() < next_ticket.correlation(),
             "correlation ids are monotone per handle"
@@ -2926,9 +2787,14 @@ mod tests {
     #[test]
     fn metrics_count_operations() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         let w = WorkerId(2);
-        let _ = handle.request_tasks(w);
-        if let WorkRequest::Golden(g) = handle.request_tasks(w).unwrap() {
+        let _ = handle.request_tasks_ticket_in(c, w).and_then(Ticket::wait);
+        if let WorkRequest::Golden(g) = handle
+            .request_tasks_ticket_in(c, w)
+            .and_then(Ticket::wait)
+            .unwrap()
+        {
             pass_golden(&handle, w, &g);
         }
         assert_eq!(handle.metrics().stats(OpKind::Assign).count, 2);
@@ -2945,7 +2811,10 @@ mod tests {
         let extra = handle.clone();
         drop(handle);
         // Pool still alive: `extra` holds every shard's sender.
-        assert!(extra.request_tasks(WorkerId(3)).is_ok());
+        assert!(extra
+            .request_tasks_ticket_in(extra.default_campaign(), WorkerId(3))
+            .and_then(Ticket::wait)
+            .is_ok());
         drop(extra);
         let _docs = service.join();
     }
@@ -2956,7 +2825,11 @@ mod tests {
         // Seed golden for 4 workers, then hammer assignments concurrently.
         for w in 0..4u32 {
             let w = WorkerId(w);
-            if let WorkRequest::Golden(g) = handle.request_tasks(w).unwrap() {
+            if let WorkRequest::Golden(g) = handle
+                .request_tasks_ticket_in(handle.default_campaign(), w)
+                .and_then(Ticket::wait)
+                .unwrap()
+            {
                 pass_golden(&handle, w, &g);
             }
         }
@@ -2966,7 +2839,9 @@ mod tests {
                 std::thread::spawn(move || {
                     let w = WorkerId(w);
                     for _ in 0..10 {
-                        h.request_tasks(w).unwrap();
+                        h.request_tasks_ticket_in(h.default_campaign(), w)
+                            .and_then(Ticket::wait)
+                            .unwrap();
                     }
                 })
             })
@@ -2992,12 +2867,20 @@ mod tests {
         // independently: golden state is per campaign.
         let w = WorkerId(0);
         for (campaign, tasks_n) in [(CampaignId(0), 9), (c1, 6), (c2, 12)] {
-            let golden = match handle.request_tasks_in(campaign, w).unwrap() {
+            let golden = match handle
+                .request_tasks_ticket_in(campaign, w)
+                .and_then(Ticket::wait)
+                .unwrap()
+            {
                 WorkRequest::Golden(g) => g,
                 other => panic!("expected golden in {campaign}, got {other:?}"),
             };
             pass_golden_in(&handle, campaign, w, &golden);
-            match handle.request_tasks_in(campaign, w).unwrap() {
+            match handle
+                .request_tasks_ticket_in(campaign, w)
+                .and_then(Ticket::wait)
+                .unwrap()
+            {
                 WorkRequest::Tasks(t) => assert!(!t.is_empty()),
                 other => panic!("expected tasks in {campaign}, got {other:?}"),
             }
@@ -3006,7 +2889,10 @@ mod tests {
         }
 
         // Unknown campaigns are rejected with the campaign id, not fatal.
-        let err = handle.request_tasks_in(CampaignId(99), w).unwrap_err();
+        let err = handle
+            .request_tasks_ticket_in(CampaignId(99), w)
+            .and_then(Ticket::wait)
+            .unwrap_err();
         assert_eq!(
             err,
             ServiceError::Rejected(RejectReason::UnknownCampaign(CampaignId(99)))
@@ -3082,11 +2968,16 @@ mod tests {
             .create_campaign_with(published(6), FlushPolicy::EveryEvent)
             .unwrap();
         let w = WorkerId(0);
-        if let WorkRequest::Golden(g) = handle.request_tasks_in(c, w).unwrap() {
+        if let WorkRequest::Golden(g) = handle
+            .request_tasks_ticket_in(c, w)
+            .and_then(Ticket::wait)
+            .unwrap()
+        {
             pass_golden_in(&handle, c, w, &g);
         }
         handle
-            .submit_answer_in(c, Answer::new(w, TaskId(0), 0))
+            .submit_answer_ticket_in(c, Answer::new(w, TaskId(0), 0))
+            .and_then(Ticket::wait)
             .unwrap();
         let d = handle.metrics().durability();
         assert!(
@@ -3107,18 +2998,29 @@ mod tests {
     #[test]
     fn batched_submission_round_trip_with_per_answer_rejections() {
         let (service, handle) = service();
+        let c = handle.default_campaign();
         let w = WorkerId(0);
-        if let WorkRequest::Golden(g) = handle.request_tasks(w).unwrap() {
+        if let WorkRequest::Golden(g) = handle
+            .request_tasks_ticket_in(c, w)
+            .and_then(Ticket::wait)
+            .unwrap()
+        {
             pass_golden(&handle, w, &g);
         }
-        handle.submit_answer(Answer::new(w, TaskId(0), 0)).unwrap();
+        handle
+            .submit_answer_ticket_in(c, Answer::new(w, TaskId(0), 0))
+            .and_then(Ticket::wait)
+            .unwrap();
         let batch = vec![
             Answer::new(w, TaskId(0), 1), // duplicate against the log
             Answer::new(w, TaskId(1), 1),
             Answer::new(w, TaskId(1), 0), // duplicate within the batch
             Answer::new(w, TaskId(2), 0),
         ];
-        let outcome = handle.submit_answer_batch(batch).unwrap();
+        let outcome = handle
+            .submit_answer_batch_ticket_in(c, batch)
+            .and_then(Ticket::wait)
+            .unwrap();
         assert_eq!(outcome.accepted, 2);
         assert_eq!(
             outcome.rejected.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
@@ -3137,7 +3039,7 @@ mod tests {
             .to_string()
             .contains("already answered"));
         assert_eq!(handle.metrics().stats(OpKind::SubmitBatch).count, 1);
-        let report = handle.finish().unwrap();
+        let report = handle.finish_in(c).unwrap();
         assert_eq!(report.answers_collected, 3);
         drop(handle);
         service.join();
@@ -3154,12 +3056,19 @@ mod tests {
             .create_campaign_with(published(9), FlushPolicy::EveryEvent)
             .unwrap();
         let w = WorkerId(0);
-        if let WorkRequest::Golden(g) = handle.request_tasks_in(c, w).unwrap() {
+        if let WorkRequest::Golden(g) = handle
+            .request_tasks_ticket_in(c, w)
+            .and_then(Ticket::wait)
+            .unwrap()
+        {
             pass_golden_in(&handle, c, w, &g);
         }
         let flushes_before = handle.metrics().durability().log_flushes;
         let batch: Vec<Answer> = (0..6).map(|t| Answer::new(w, TaskId(t), 0)).collect();
-        let outcome = handle.submit_answer_batch_in(c, batch).unwrap();
+        let outcome = handle
+            .submit_answer_batch_ticket_in(c, batch)
+            .and_then(Ticket::wait)
+            .unwrap();
         assert_eq!(outcome.accepted, 6);
         let flushes_after = handle.metrics().durability().log_flushes;
         assert_eq!(
@@ -3187,7 +3096,10 @@ mod tests {
         let dir = tmp_dir("recover-empty");
         let (service, handle) = DocsService::recover(ServiceConfig::durable(2, &dir)).unwrap();
         // No campaigns recovered: the default campaign does not exist.
-        let err = handle.request_tasks(WorkerId(0)).unwrap_err();
+        let err = handle
+            .request_tasks_ticket_in(handle.default_campaign(), WorkerId(0))
+            .and_then(Ticket::wait)
+            .unwrap_err();
         assert_eq!(
             err,
             ServiceError::Rejected(RejectReason::UnknownCampaign(CampaignId(0)))

@@ -22,7 +22,7 @@
 //! produce byte-identical truths** — the levers change cost, never
 //! answers.
 
-use docs_service::{DocsService, OpKind, ServiceConfig, ServiceHandle};
+use docs_service::{DocsService, OpKind, ServiceConfig, ServiceHandle, Ticket};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, ChoiceIndex, Task, TaskBuilder, TaskId, WorkerId};
@@ -127,11 +127,16 @@ fn run(label: &str, use_index: bool, batched: bool) -> RunReport {
         let mut progressed = false;
         for w in 0..NUM_WORKERS {
             let w = WorkerId(w);
-            match handle.request_tasks_in(campaign, w).expect("request") {
+            match handle
+                .request_tasks_ticket_in(campaign, w)
+                .and_then(Ticket::wait)
+                .expect("request")
+            {
                 WorkRequest::Golden(golden) => {
                     let answers: Vec<_> = golden.iter().map(|&g| (g, choice_of(w, g))).collect();
                     handle
-                        .submit_golden_in(campaign, w, answers)
+                        .submit_golden_ticket_in(campaign, w, answers)
+                        .and_then(Ticket::wait)
                         .expect("golden");
                     progressed = true;
                 }
@@ -176,12 +181,14 @@ fn submit_hit(
             .map(|&t| Answer::new(w, t, choice_of(w, t)))
             .collect();
         handle
-            .submit_answer_batch_in(campaign, answers)
+            .submit_answer_batch_ticket_in(campaign, answers)
+            .and_then(Ticket::wait)
             .expect("batch");
     } else {
         for &t in hit {
             handle
-                .submit_answer_in(campaign, Answer::new(w, t, choice_of(w, t)))
+                .submit_answer_ticket_in(campaign, Answer::new(w, t, choice_of(w, t)))
+                .and_then(Ticket::wait)
                 .expect("answer");
         }
     }

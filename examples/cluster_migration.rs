@@ -112,10 +112,15 @@ fn oracle() -> (Vec<Op>, RequesterReport) {
 fn submit_via(router: &ClusterRouter, campaign: CampaignId, op: &Op) {
     match op {
         Op::Golden(w, answers) => router
-            .submit_golden_in(campaign, *w, answers.clone())
+            .write(campaign, |h| {
+                h.submit_golden_ticket_in(campaign, *w, answers.clone())?
+                    .wait()
+            })
             .expect("golden submission must be acknowledged"),
         Op::Answer(answer) => router
-            .submit_answer_in(campaign, *answer)
+            .write(campaign, |h| {
+                h.submit_answer_ticket_in(campaign, *answer)?.wait()
+            })
             .expect("answer submission must be acknowledged"),
     }
 }
@@ -218,7 +223,9 @@ fn main() {
     driver.join().expect("driver thread panicked");
 
     // Zero lost acks: the post-migration report matches the oracle's bytes.
-    let report = router.finish_in(campaign).expect("finish after migration");
+    let report = router
+        .write(campaign, |h| h.finish_in(campaign))
+        .expect("finish after migration");
     assert_eq!(report.truths, reference.truths, "truths diverged");
     assert_eq!(
         report.truth_distributions, reference.truth_distributions,

@@ -25,7 +25,7 @@
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_service::{
     drive_workers_on, AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceError,
-    ServiceHandle,
+    ServiceHandle, Ticket,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -121,8 +121,12 @@ fn oracle() -> (Vec<Op>, RequesterReport) {
 
 fn submit(handle: &ServiceHandle, campaign: CampaignId, op: &Op) {
     let result = match op {
-        Op::Golden(w, answers) => handle.submit_golden_in(campaign, *w, answers.clone()),
-        Op::Answer(a) => handle.submit_answer_in(campaign, *a),
+        Op::Golden(w, answers) => handle
+            .submit_golden_ticket_in(campaign, *w, answers.clone())
+            .and_then(Ticket::wait),
+        Op::Answer(a) => handle
+            .submit_answer_ticket_in(campaign, *a)
+            .and_then(Ticket::wait),
     };
     match result {
         Ok(()) | Err(ServiceError::Rejected(_)) => {}

@@ -19,7 +19,9 @@
 
 use docs_obs::{validate_prometheus, SpanKind};
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
-use docs_service::{AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceHandle};
+use docs_service::{
+    AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceHandle, Ticket,
+};
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, WorkerId};
@@ -63,21 +65,30 @@ fn drive(handle: &ServiceHandle, campaign: CampaignId, rounds: usize) -> u64 {
     for round in 0..rounds {
         for w in 0..NUM_WORKERS {
             let w = WorkerId(w);
-            match handle.request_tasks_in(campaign, w).expect("request") {
+            match handle
+                .request_tasks_ticket_in(campaign, w)
+                .and_then(Ticket::wait)
+                .expect("request")
+            {
                 WorkRequest::Golden(golden) => {
                     let answers: Vec<_> = golden
                         .iter()
                         .map(|&g| (g, (g.index() + round) % 2))
                         .collect();
                     handle
-                        .submit_golden_in(campaign, w, answers)
+                        .submit_golden_ticket_in(campaign, w, answers)
+                        .and_then(Ticket::wait)
                         .expect("golden");
                     served += 1;
                 }
                 WorkRequest::Tasks(hit) => {
                     for t in hit {
                         let answer = Answer::new(w, t, (t.index() + w.0 as usize) % 2);
-                        if handle.submit_answer_in(campaign, answer).is_ok() {
+                        if handle
+                            .submit_answer_ticket_in(campaign, answer)
+                            .and_then(Ticket::wait)
+                            .is_ok()
+                        {
                             served += 1;
                         }
                     }

@@ -16,11 +16,12 @@
 
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, DocsService, DurabilityConfig, ReadRouter, ServiceConfig, ServiceHandle,
+    AdaptiveCommit, ClusterRouter, DocsService, DurabilityConfig, ServiceConfig, ServiceHandle,
+    Ticket,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, WorkRequest};
-use docs_types::{Answer, CampaignId, ReplicaRole, Task, TaskBuilder, WorkerId};
+use docs_types::{Answer, CampaignId, NodeId, ReplicaRole, Task, TaskBuilder, WorkerId};
 use std::time::{Duration, Instant};
 
 const NUM_TASKS: usize = 18;
@@ -62,21 +63,30 @@ fn drive(handle: &ServiceHandle, campaign: CampaignId, rounds: usize) -> u64 {
     for round in 0..rounds {
         for w in 0..NUM_WORKERS {
             let w = WorkerId(w);
-            match handle.request_tasks_in(campaign, w).expect("request") {
+            match handle
+                .request_tasks_ticket_in(campaign, w)
+                .and_then(Ticket::wait)
+                .expect("request")
+            {
                 WorkRequest::Golden(golden) => {
                     let answers: Vec<_> = golden
                         .iter()
                         .map(|&g| (g, (g.index() + round) % 2))
                         .collect();
                     handle
-                        .submit_golden_in(campaign, w, answers)
+                        .submit_golden_ticket_in(campaign, w, answers)
+                        .and_then(Ticket::wait)
                         .expect("golden");
                     served += 1;
                 }
                 WorkRequest::Tasks(hit) => {
                     for t in hit {
                         let answer = Answer::new(w, t, (t.index() + w.0 as usize) % 2);
-                        if handle.submit_answer_in(campaign, answer).is_ok() {
+                        if handle
+                            .submit_answer_ticket_in(campaign, answer)
+                            .and_then(Ticket::wait)
+                            .is_ok()
+                        {
                             served += 1;
                         }
                     }
@@ -134,11 +144,15 @@ fn main() {
 
     // ---- Reads are served by the follower. ----
     await_watermark(&replica, campaign, acked_events);
-    let router = ReadRouter::new(primary.clone(), vec![replica.handle().clone()]);
-    let status = router.status_in(campaign).expect("status via replica");
+    let router = ClusterRouter::single(NodeId(0), primary.clone(), vec![replica.handle().clone()]);
+    let status = router
+        .read(campaign, |h| h.status_in(campaign))
+        .expect("status via replica");
     let primary_status = primary.status_in(campaign).expect("status via primary");
     assert_eq!(status, primary_status, "replica status diverged");
-    let replica_truths = router.peek_report_in(campaign).expect("truths via replica");
+    let replica_truths = router
+        .read(campaign, |h| h.peek_report_in(campaign))
+        .expect("truths via replica");
     let primary_truths = primary
         .peek_report_in(campaign)
         .expect("truths via primary");

@@ -10,14 +10,14 @@
 //!    The destination's own durable log then proves the hand-off: a cold
 //!    recovery from it reproduces the same report.
 //! 2. **A stale map self-heals in one retry** — a client router still
-//!    holding the pre-migration epoch sends a write to the old owner,
-//!    absorbs the `WrongNode` answer, and converges on the new owner with
-//!    exactly one redirect.
+//!    holding the pre-migration epoch sends a write (blocking, or as a
+//!    pipelined ticket) to the old owner, absorbs the `WrongNode` answer,
+//!    and converges on the new owner with exactly one redirect.
 
 use docs_replication::{migrate_campaign, replication_channel, MigrationSource, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, ClusterNode, ClusterRouter, DocsService, DurabilityConfig, ServiceConfig,
-    ServiceError, ServiceHandle,
+    absorb_redirects, AdaptiveCommit, ClusterNode, ClusterRouter, DocsService, DurabilityConfig,
+    ServiceConfig, ServiceError, ServiceHandle, Ticket,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -120,12 +120,44 @@ fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
 fn submit_via(router: &ClusterRouter, campaign: CampaignId, op: &Op) {
     match op {
         Op::Golden(w, answers) => router
-            .submit_golden_in(campaign, *w, answers.clone())
+            .write(campaign, |h| {
+                h.submit_golden_ticket_in(campaign, *w, answers.clone())?
+                    .wait()
+            })
             .expect("golden submission must be acknowledged"),
         Op::Answer(answer) => router
-            .submit_answer_in(campaign, *answer)
+            .write(campaign, |h| {
+                h.submit_answer_ticket_in(campaign, *answer)?.wait()
+            })
             .expect("answer submission must be acknowledged"),
     }
+}
+
+/// The pipelined twin of [`submit_via`], the way a crowd drive submits:
+/// the ticket goes to the primary the router names right now, and its
+/// completion is harvested afterwards through the shared redirect policy.
+fn submit_ticket_via(router: &ClusterRouter, campaign: CampaignId, op: &Op) {
+    let primary = router.owner_primary(campaign).expect("routable owner");
+    match op {
+        Op::Golden(w, answers) => {
+            let ticket = primary
+                .submit_golden_ticket_in(campaign, *w, answers.clone())
+                .expect("golden submit");
+            absorb_redirects(router, campaign, ticket.wait(), |h| {
+                h.submit_golden_ticket_in(campaign, *w, answers.clone())?
+                    .wait()
+            })
+        }
+        Op::Answer(answer) => {
+            let ticket = primary
+                .submit_answer_ticket_in(campaign, *answer)
+                .expect("answer submit");
+            absorb_redirects(router, campaign, ticket.wait(), |h| {
+                h.submit_answer_ticket_in(campaign, *answer)?.wait()
+            })
+        }
+    }
+    .expect("pipelined submission must be acknowledged");
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -312,7 +344,7 @@ fn rebalance_under_traffic_case(shards: usize, task_shards: usize) {
     // must produce the oracle's bytes — nothing was lost in the hand-off.
     let report = cluster
         .router
-        .finish_in(campaign)
+        .write(campaign, |h| h.finish_in(campaign))
         .expect("finish after migration");
     assert_byte_identical(&report, &reference, &label);
 
@@ -355,9 +387,11 @@ fn rebalance_under_traffic_loses_nothing_across_the_matrix() {
 }
 
 /// Invariant 2, pinned across shard counts: a router holding the
-/// pre-migration map converges on the new owner with exactly one redirect.
-fn stale_map_case(shards: usize) {
-    let label = format!("shards {shards}");
+/// pre-migration map converges on the new owner with exactly one redirect,
+/// whether its write is blocking ([`ClusterRouter::write`]) or a pipelined
+/// ticket harvested later ([`absorb_redirects`], the crowd drive's path).
+fn stale_map_case(shards: usize, pipelined: bool) {
+    let label = format!("shards {shards}, pipelined {pipelined}");
     let task_shards = 1;
     let (ops, _) = oracle(task_shards);
     let cluster = two_nodes(shards, task_shards, "stale");
@@ -386,7 +420,11 @@ fn stale_map_case(shards: usize) {
     // goes to node 0, absorbs the WrongNode answer, and must land on
     // node 1 with exactly one redirect.
     let stale = ClusterRouter::new(cluster.router.nodes(), ClusterMap::new(NodeId(0)));
-    submit_via(&stale, campaign, &ops[prefix]);
+    if pipelined {
+        submit_ticket_via(&stale, campaign, &ops[prefix]);
+    } else {
+        submit_via(&stale, campaign, &ops[prefix]);
+    }
     let stats = stale.stats();
     assert_eq!(
         stats.wrong_node_redirects, 1,
@@ -425,7 +463,9 @@ fn stale_map_case(shards: usize) {
 #[test]
 fn a_stale_cluster_map_converges_to_the_new_owner_in_one_retry() {
     for shards in [1usize, 4] {
-        stale_map_case(shards);
+        for pipelined in [false, true] {
+            stale_map_case(shards, pipelined);
+        }
     }
 }
 
@@ -449,7 +489,8 @@ fn an_installed_directory_redirects_mutations_but_keeps_serving_reads() {
     let err = cluster
         .node0
         .1
-        .submit_answer_in(campaign, Answer::new(WorkerId(0), TaskId(0), 0))
+        .submit_answer_ticket_in(campaign, Answer::new(WorkerId(0), TaskId(0), 0))
+        .and_then(Ticket::wait)
         .unwrap_err();
     assert_eq!(
         err,

@@ -11,7 +11,7 @@
 
 use docs_service::{
     DispatchConfig, DispatchMode, DocsService, RejectReason, ServiceConfig, ServiceError,
-    ServiceHandle, TicketWait,
+    ServiceHandle, Ticket, TicketWait,
 };
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, CampaignId, Task, TaskBuilder, TaskId, WorkerId};
@@ -58,7 +58,8 @@ fn answers_for(worker: WorkerId, hit: &[TaskId]) -> Vec<Answer> {
 /// Golden bootstrap over the pull plane (which stays on in every mode).
 fn pass_golden(handle: &ServiceHandle, campaign: CampaignId, worker: WorkerId) {
     let golden = match handle
-        .request_tasks_in(campaign, worker)
+        .request_tasks_ticket_in(campaign, worker)
+        .and_then(Ticket::wait)
         .expect("golden request")
     {
         WorkRequest::Golden(g) => g,
@@ -66,7 +67,8 @@ fn pass_golden(handle: &ServiceHandle, campaign: CampaignId, worker: WorkerId) {
     };
     let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
     handle
-        .submit_golden_in(campaign, worker, picks)
+        .submit_golden_ticket_in(campaign, worker, picks)
+        .and_then(Ticket::wait)
         .expect("golden submit");
 }
 
@@ -89,7 +91,10 @@ fn next_work(
     worker: WorkerId,
 ) -> WorkRequest {
     match mode {
-        DispatchMode::Pull => handle.request_tasks_in(campaign, worker).expect("poll"),
+        DispatchMode::Pull => handle
+            .request_tasks_ticket_in(campaign, worker)
+            .and_then(Ticket::wait)
+            .expect("poll"),
         DispatchMode::Push => subscribe_wait(handle, campaign, worker),
         DispatchMode::Hybrid => {
             let ticket = handle
@@ -102,9 +107,10 @@ fn next_work(
                         .unsubscribe_in(campaign, worker)
                         .expect("unsubscribe");
                     match ticket.wait().expect("settled") {
-                        WorkRequest::Done => {
-                            handle.request_tasks_in(campaign, worker).expect("fallback")
-                        }
+                        WorkRequest::Done => handle
+                            .request_tasks_ticket_in(campaign, worker)
+                            .and_then(Ticket::wait)
+                            .expect("fallback"),
                         work => work,
                     }
                 }
@@ -133,13 +139,15 @@ fn run_schedule(
             WorkRequest::Golden(golden) => {
                 let picks: Vec<_> = golden.iter().map(|&g| (g, g.index() % 2)).collect();
                 handle
-                    .submit_golden_in(campaign, worker, picks)
+                    .submit_golden_ticket_in(campaign, worker, picks)
+                    .and_then(Ticket::wait)
                     .expect("golden submit");
                 0
             }
             WorkRequest::Tasks(hit) => {
                 handle
-                    .submit_answer_batch_in(campaign, answers_for(worker, hit))
+                    .submit_answer_batch_ticket_in(campaign, answers_for(worker, hit))
+                    .and_then(Ticket::wait)
                     .expect("batch submit")
                     .accepted
             }
@@ -244,7 +252,8 @@ fn worker_timeout_re_enqueues_the_worker_without_budget_leak() {
         let mut hit = first;
         for _ in 0..32 {
             handle
-                .submit_answer_batch_in(campaign, answers_for(worker, &hit))
+                .submit_answer_batch_ticket_in(campaign, answers_for(worker, &hit))
+                .and_then(Ticket::wait)
                 .expect("batch submit");
             match subscribe_wait(&handle, campaign, worker) {
                 WorkRequest::Tasks(next) => hit = next,
@@ -292,7 +301,8 @@ fn at_cap_subscription_parks_until_the_workers_own_submit() {
     assert_eq!(handle.metrics().shard(0).subscriptions, 1);
 
     let outcome = handle
-        .submit_answer_batch_in(campaign, answers_for(w, &hit1))
+        .submit_answer_batch_ticket_in(campaign, answers_for(w, &hit1))
+        .and_then(Ticket::wait)
         .expect("batch submit");
     assert_eq!(outcome.accepted, hit1.len());
     let hit2 = match parked.wait().expect("served by own submit") {
@@ -387,13 +397,18 @@ fn budget_exhaustion_drains_parked_subscriptions() {
         .expect("standing subscribe");
 
     // B polls (the pull plane stays on) and submits the whole budget.
-    let hit_b = match handle.request_tasks_in(campaign, b).expect("poll") {
+    let hit_b = match handle
+        .request_tasks_ticket_in(campaign, b)
+        .and_then(Ticket::wait)
+        .expect("poll")
+    {
         WorkRequest::Tasks(hit) => hit,
         other => panic!("worker B got {other:?}"),
     };
     assert_eq!(hit_b.len(), 4, "B should see every task");
     handle
-        .submit_answer_batch_in(campaign, answers_for(b, &hit_b))
+        .submit_answer_batch_ticket_in(campaign, answers_for(b, &hit_b))
+        .and_then(Ticket::wait)
         .expect("batch submit");
 
     assert_eq!(standing.wait().expect("drained"), WorkRequest::Done);

@@ -19,6 +19,7 @@
 
 use docs_service::{
     AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceError, ServiceHandle,
+    Ticket,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -118,8 +119,12 @@ fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
 /// already-recovered prefix).
 fn submit(handle: &ServiceHandle, campaign: CampaignId, op: &Op) {
     let result = match op {
-        Op::Golden(w, answers) => handle.submit_golden_in(campaign, *w, answers.clone()),
-        Op::Answer(answer) => handle.submit_answer_in(campaign, *answer),
+        Op::Golden(w, answers) => handle
+            .submit_golden_ticket_in(campaign, *w, answers.clone())
+            .and_then(Ticket::wait),
+        Op::Answer(answer) => handle
+            .submit_answer_ticket_in(campaign, *answer)
+            .and_then(Ticket::wait),
     };
     match result {
         Ok(()) | Err(ServiceError::Rejected(_)) => {}
@@ -463,7 +468,10 @@ fn multi_campaign_recovery_preserves_every_durable_campaign() {
     let (service, handle) = DocsService::recover(service_config(4, &dir, policy)).unwrap();
     // The memory-only campaign died with the process; both durable ones
     // came back and can run to an identical report.
-    let err = handle.request_tasks_in(c2, WorkerId(0)).unwrap_err();
+    let err = handle
+        .request_tasks_ticket_in(c2, WorkerId(0))
+        .and_then(Ticket::wait)
+        .unwrap_err();
     assert!(matches!(err, ServiceError::Rejected(_)));
     for op in &ops {
         submit(&handle, c0, op);
@@ -477,6 +485,37 @@ fn multi_campaign_recovery_preserves_every_durable_campaign() {
     assert_eq!(d.snapshots_loaded, 2);
     drop(handle);
     let _ = service.join_all();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A recovery that cannot write a recovered campaign's baseline snapshot
+/// fails as an error from `recover` itself — before any shard thread
+/// starts — instead of handing back a pool whose shard then panics.
+#[test]
+fn recovery_reports_a_baseline_snapshot_it_cannot_write() {
+    let dir = tmp_dir("baseline-unwritable");
+    let policy = FlushPolicy::EveryEvent;
+    let (ops, _) = oracle(1);
+    let shards = 2;
+    let (service, handle) = DocsService::spawn_sharded(
+        publish(1, Some(policy)),
+        service_config(shards, &dir, policy),
+    );
+    let campaign = handle.default_campaign();
+    for op in &ops[..5] {
+        submit(&handle, campaign, op);
+    }
+    drop(handle);
+    let _ = service.join_all();
+
+    // A directory squatting on the snapshot's temp path makes
+    // `File::create` fail even for a privileged user.
+    let shard_dir = dir.join(format!("shard-{}", campaign.shard(shards)));
+    std::fs::create_dir_all(shard_dir.join(format!("snap-{}.bin.tmp", campaign.0))).unwrap();
+    let err = DocsService::recover(service_config(shards, &dir, policy))
+        .err()
+        .expect("recovery must report the unwritable baseline");
+    assert!(matches!(err, ServiceError::Rejected(_)), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -18,14 +18,14 @@
 
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, DocsService, DurabilityConfig, ReadRouter, RejectReason, ReplicaRole,
-    ServiceConfig, ServiceError, ServiceHandle,
+    AdaptiveCommit, ClusterRouter, DocsService, DurabilityConfig, RejectReason, ReplicaRole,
+    ServiceConfig, ServiceError, ServiceHandle, Ticket,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
 use docs_types::{
-    Answer, CampaignEvent, CampaignId, ChoiceIndex, ReplicationFrame, Task, TaskBuilder, TaskId,
-    WorkerId,
+    Answer, CampaignEvent, CampaignId, ChoiceIndex, NodeId, ReplicationFrame, Task, TaskBuilder,
+    TaskId, WorkerId,
 };
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -119,8 +119,12 @@ fn oracle(task_shards: usize) -> (Vec<Op>, RequesterReport) {
 /// already-applied prefix when a stream is re-driven).
 fn submit(handle: &ServiceHandle, campaign: CampaignId, op: &Op) {
     let result = match op {
-        Op::Golden(w, answers) => handle.submit_golden_in(campaign, *w, answers.clone()),
-        Op::Answer(answer) => handle.submit_answer_in(campaign, *answer),
+        Op::Golden(w, answers) => handle
+            .submit_golden_ticket_in(campaign, *w, answers.clone())
+            .and_then(Ticket::wait),
+        Op::Answer(answer) => handle
+            .submit_answer_ticket_in(campaign, *answer)
+            .and_then(Ticket::wait),
     };
     match result {
         Ok(()) | Err(ServiceError::Rejected(_)) => {}
@@ -314,11 +318,13 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     // Reads fan out to the replica through the router; writes pin to the
     // primary.
     await_watermark(&replica, campaign, acked_seq);
-    let router = ReadRouter::new(handle.clone(), vec![replica.handle().clone()]);
-    let routed_status = router.status_in(campaign).unwrap();
+    let router = ClusterRouter::single(NodeId(0), handle.clone(), vec![replica.handle().clone()]);
+    let routed_status = router.read(campaign, |h| h.status_in(campaign)).unwrap();
     assert_eq!(routed_status, handle.status_in(campaign).unwrap());
     assert_eq!(routed_status.answers_collected, prefix - 5); // 5 golden HITs
-    let routed_report = router.peek_report_in(campaign).unwrap();
+    let routed_report = router
+        .read(campaign, |h| h.peek_report_in(campaign))
+        .unwrap();
     let primary_report = handle.peek_report_in(campaign).unwrap();
     assert_eq!(routed_report.truths, primary_report.truths);
     assert_eq!(
@@ -329,7 +335,9 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     assert_eq!(routing.replica_reads, 2, "reads served by the follower");
     assert_eq!(routing.primary_reads, 0);
     // A read for a campaign the replica never bootstrapped falls back.
-    let err = router.status_in(CampaignId(99)).unwrap_err();
+    let err = router
+        .read(CampaignId(99), |h| h.status_in(CampaignId(99)))
+        .unwrap_err();
     assert!(matches!(
         err,
         ServiceError::Rejected(RejectReason::UnknownCampaign(_))
@@ -340,7 +348,8 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
     assert_eq!(replica.handle().role(), ReplicaRole::Follower);
     let err = replica
         .handle()
-        .submit_answer_in(campaign, Answer::new(WorkerId(0), TaskId(0), 0))
+        .submit_answer_ticket_in(campaign, Answer::new(WorkerId(0), TaskId(0), 0))
+        .and_then(Ticket::wait)
         .unwrap_err();
     assert_eq!(
         err,

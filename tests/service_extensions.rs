@@ -56,7 +56,7 @@ fn concurrent_campaign_through_the_service_matches_protocol() {
     );
     assert_eq!(report.total_rejected(), 0, "sharded workers never race");
 
-    let final_report = handle.finish().unwrap();
+    let final_report = handle.finish_in(handle.default_campaign()).unwrap();
     assert_eq!(final_report.truths.len(), n);
     assert!(
         final_report.accuracy > 0.5,

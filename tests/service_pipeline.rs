@@ -7,7 +7,7 @@
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_service::{
     drive_workers_blocking_on, drive_workers_on, DocsService, RejectReason, ServiceConfig,
-    ServiceError, TicketWait,
+    ServiceError, Ticket, TicketWait,
 };
 use docs_system::{Docs, DocsConfig, WorkRequest};
 use docs_types::{Answer, Task, TaskBuilder, TaskId, WorkerId};
@@ -197,14 +197,17 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
     )
     .unwrap();
     let (service, handle) = DocsService::spawn(docs);
+    let c = handle.default_campaign();
     for t in 0..2u32 {
         handle
-            .submit_answer(Answer::new(WorkerId(0), TaskId(t), 0))
+            .submit_answer_ticket_in(c, Answer::new(WorkerId(0), TaskId(t), 0))
+            .and_then(Ticket::wait)
             .unwrap();
     }
     // Budget (2 × 1) consumed: the straggler is refused, with the reason.
     let err = handle
-        .submit_answer(Answer::new(WorkerId(1), TaskId(0), 1))
+        .submit_answer_ticket_in(c, Answer::new(WorkerId(1), TaskId(0), 1))
+        .and_then(Ticket::wait)
         .unwrap_err();
     assert_eq!(err, ServiceError::Rejected(RejectReason::BudgetExhausted));
     assert_eq!(
@@ -213,7 +216,8 @@ fn strict_budget_rejection_is_matchable_at_the_client() {
         "reason() exposes the taxonomy"
     );
     let outcome = handle
-        .submit_answer_batch(vec![Answer::new(WorkerId(1), TaskId(1), 1)])
+        .submit_answer_batch_ticket_in(c, vec![Answer::new(WorkerId(1), TaskId(1), 1)])
+        .and_then(Ticket::wait)
         .unwrap();
     assert_eq!(outcome.accepted, 0);
     assert_eq!(outcome.rejected, vec![(0, RejectReason::BudgetExhausted)]);
