@@ -103,14 +103,6 @@ pub struct BenefitIndex {
     /// Tasks owned per shard — the compaction threshold baseline.
     shard_sizes: Vec<usize>,
     num_shards: usize,
-    /// Monotone maintenance generation: advanced by every [`bump`] and
-    /// [`rebuild`], i.e. exactly once per index-visible state change. The
-    /// service's push-dispatch plane keys off this counter to dispatch once
-    /// per state change instead of once per worker poll.
-    ///
-    /// [`bump`]: BenefitIndex::bump
-    /// [`rebuild`]: BenefitIndex::rebuild
-    generation: u64,
 }
 
 impl BenefitIndex {
@@ -122,7 +114,6 @@ impl BenefitIndex {
             epochs: Vec::new(),
             shard_sizes: Vec::new(),
             num_shards: sharding.num_shards(),
-            generation: 0,
         };
         index.rebuild(states, sharding);
         index
@@ -140,22 +131,11 @@ impl BenefitIndex {
         self.epochs.len()
     }
 
-    /// The maintenance generation: advances exactly once per index-visible
-    /// state change ([`bump`](BenefitIndex::bump) or
-    /// [`rebuild`](BenefitIndex::rebuild)), never on reads. Observers that
-    /// cache a generation and compare can tell "the candidate space moved"
-    /// apart from "another poll arrived" — the push-dispatch trigger.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Rebuilds the whole index from scratch — the repair path after
     /// periodic full inference (every state changed at once) or a
     /// re-partition.
     pub fn rebuild(&mut self, states: &[TaskState], sharding: &ShardedTiState) {
         debug_assert_eq!(states.len(), sharding.num_tasks());
-        self.generation = self.generation.wrapping_add(1);
         self.num_shards = sharding.num_shards();
         self.epochs.clear();
         self.epochs.resize(states.len(), 0);
@@ -180,7 +160,6 @@ impl BenefitIndex {
     /// Re-keys one task after its state changed (answer ingestion): the old
     /// entry goes stale, a fresh one carries the new `H(s)` bound.
     pub fn bump(&mut self, task: usize, bound: f64) {
-        self.generation = self.generation.wrapping_add(1);
         let epoch = self.epochs[task].wrapping_add(1);
         self.epochs[task] = epoch;
         let shard = TaskId::from(task).shard(self.num_shards);
@@ -368,25 +347,6 @@ mod tests {
             let want = brute_force(&sharding, shard, 16, frac_eval(&states, 0.4));
             assert_eq!(got, want);
         }
-    }
-
-    #[test]
-    fn generation_moves_on_maintenance_never_on_reads() {
-        let states = warm_states(10);
-        let sharding = ShardedTiState::new(10, 2);
-        let mut index = BenefitIndex::new(&states, &sharding);
-        let g0 = index.generation();
-        // Reads leave the generation alone.
-        index.select_top_k(0, 4, frac_eval(&states, 0.5));
-        index.select_top_k(1, 4, frac_eval(&states, 0.5));
-        assert_eq!(index.generation(), g0, "reads must not advance");
-        // Every bump advances by exactly one; rebuild advances too.
-        index.bump(3, states[3].entropy());
-        assert_eq!(index.generation(), g0 + 1);
-        index.bump(7, states[7].entropy());
-        assert_eq!(index.generation(), g0 + 2);
-        index.rebuild(&states, &sharding);
-        assert_eq!(index.generation(), g0 + 3);
     }
 
     #[test]

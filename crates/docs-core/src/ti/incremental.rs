@@ -134,14 +134,6 @@ impl IncrementalTi {
         self.index.is_some()
     }
 
-    /// The benefit index's maintenance generation, when one is maintained:
-    /// advances once per index-visible state change (answer-ingestion bump
-    /// or full-inference rebuild), never on reads. `None` on scan-only
-    /// campaigns.
-    pub fn index_generation(&self) -> Option<u64> {
-        self.index.as_ref().map(|index| index.generation())
-    }
-
     /// The shard view over the task state space.
     pub fn sharding(&self) -> &ShardedTiState {
         &self.sharding

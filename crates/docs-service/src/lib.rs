@@ -18,9 +18,9 @@
 //!   progress in parallel on different shards,
 //! * [`ServiceHandle`] is a cheaply cloneable routing client with **one
 //!   method per operation**. Worker-plane operations
-//!   (`request_tasks_ticket_in`, `subscribe_assignments_ticket_in`,
-//!   `submit_golden_ticket_in`, `submit_answer_ticket_in`,
-//!   `submit_answer_batch_ticket_in`) enqueue a correlation-tagged
+//!   (`request_tasks_ticket_in`, `submit_golden_ticket_in`,
+//!   `submit_answer_ticket_in`, `submit_answer_batch_ticket_in`) enqueue a
+//!   correlation-tagged
 //!   envelope and return a [`Ticket`] — a one-shot completion handle with
 //!   [`Ticket::wait`], [`Ticket::wait_timeout`], and [`Ticket::try_take`]
 //!   — so one client thread can keep many requests in flight per shard; a
@@ -34,14 +34,11 @@
 //!   [`ServiceHandle::try_request_tasks_in`], returns
 //!   [`ServiceError::Busy`] and bumps the shard's `busy_rejections`
 //!   counter,
-//! * **Push/hybrid dispatch** ([`ServiceConfig::dispatch`]): instead of
-//!   polling, a worker can register a long-lived assignment subscription
-//!   ([`ServiceHandle::subscribe_assignments_ticket_in`]); the owning
-//!   shard serves it immediately when possible and otherwise *parks* the
-//!   completion, pushing the next assignment when the campaign's dispatch
-//!   epoch advances — the benefit index is consulted once per state
-//!   change instead of once per worker poll, with picks byte-identical to
-//!   pull mode (see ARCHITECTURE.md, "Task dispatch"),
+//! * **Pull assignment**: a worker asks
+//!   ([`ServiceHandle::request_tasks_ticket_in`]) and the campaign's shard
+//!   answers with the paper's top-`k`-by-benefit pick
+//!   (`Docs::request_tasks`); this is the only way assignments reach
+//!   workers (see ARCHITECTURE.md, "Task assignment"),
 //! * **Typed errors**: every refusal carries a matchable
 //!   [`RejectReason`](docs_types::RejectReason)
 //!   (`DuplicateAnswer`, `UnknownCampaign`, `BudgetExhausted`, …) whose
@@ -115,8 +112,7 @@ pub use metrics::{
 };
 pub use routing::{absorb_redirects, ClusterNode, ClusterRouter, ClusterRouterStats, DriveTarget};
 pub use server::{
-    DispatchConfig, DispatchMode, DocsService, DurabilityConfig, ReplicationSink, ServiceConfig,
-    ServiceError, ServiceHandle,
+    DocsService, DurabilityConfig, ReplicationSink, ServiceConfig, ServiceError, ServiceHandle,
 };
 // Adaptive group-commit bounds appear in `DurabilityConfig`; re-exported
 // so configuring a service doesn't require a direct docs-storage import.

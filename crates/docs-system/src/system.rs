@@ -103,11 +103,6 @@ pub struct Docs {
     seen_workers: HashSet<WorkerId>,
     config: DocsConfig,
     store: Option<ParamStore>,
-    /// Monotone per-process state version: advanced once per successfully
-    /// applied event. Not part of the snapshot — it tells "did anything
-    /// change since I last looked" apart within one process lifetime, which
-    /// is all the push-dispatch plane needs (see [`Docs::dispatch_epoch`]).
-    version: u64,
 }
 
 impl Docs {
@@ -164,7 +159,6 @@ impl Docs {
             seen_workers: HashSet::new(),
             config,
             store,
-            version: 0,
         })
     }
 
@@ -495,7 +489,7 @@ impl Docs {
     /// reproduces the live state exactly — the transition reads no clock, no
     /// randomness, and no iteration order of unordered containers.
     pub fn apply(&mut self, event: &CampaignEvent) -> Result<()> {
-        let applied = match event {
+        match event {
             // `Published` marks the birth of the log; the state it describes
             // is the snapshot it rides with, so applying it is a no-op.
             CampaignEvent::Published(_) => Ok(()),
@@ -503,24 +497,7 @@ impl Docs {
             CampaignEvent::AnswerSubmitted(a) => self.apply_answer(a.answer),
             CampaignEvent::AnswerBatchSubmitted(b) => self.apply_answer_batch(&b.answers),
             CampaignEvent::Finished(_) => self.apply_finished(),
-        };
-        if applied.is_ok() {
-            self.version = self.version.wrapping_add(1);
         }
-        applied
-    }
-
-    /// The campaign's dispatch epoch: a monotone counter that moves exactly
-    /// when the assignment candidate space can have moved — once per applied
-    /// event, plus once per benefit-index maintenance step (bump/rebuild)
-    /// when the campaign runs the incremental index, so the index's own
-    /// maintenance bump is the literal trigger. The service's push plane
-    /// caches the epoch per campaign and dispatches parked subscriptions
-    /// only when it advanced: the index is consulted once per state change
-    /// instead of once per worker poll.
-    pub fn dispatch_epoch(&self) -> u64 {
-        self.version
-            .wrapping_add(self.engine.index_generation().unwrap_or(0))
     }
 
     fn apply_golden(&mut self, worker: WorkerId, answers: &[(TaskId, ChoiceIndex)]) -> Result<()> {
@@ -661,7 +638,6 @@ impl Docs {
             seen_workers: snapshot.seen_workers.into_iter().collect(),
             config: snapshot.config,
             store,
-            version: 0,
         })
     }
 
@@ -1261,51 +1237,6 @@ mod tests {
             index_report.truth_distributions,
             scan_report.truth_distributions
         );
-    }
-
-    #[test]
-    fn dispatch_epoch_advances_on_state_changes_not_polls() {
-        let kb = table2_example_kb();
-        let config = DocsConfig {
-            use_benefit_index: true,
-            ..small_config()
-        };
-        let mut docs = Docs::publish(&kb, example_tasks(6), config).unwrap();
-        let w = WorkerId(0);
-        let e0 = docs.dispatch_epoch();
-        // Golden init is a state change.
-        let golden: Vec<_> = docs
-            .golden_ids()
-            .to_vec()
-            .iter()
-            .map(|&g| (g, docs.tasks()[g.index()].ground_truth.unwrap()))
-            .collect();
-        docs.submit_golden(w, &golden).unwrap();
-        let e1 = docs.dispatch_epoch();
-        assert!(e1 > e0, "golden init must advance the epoch");
-        // Polling (assignment) is a read of the candidate space: the indexed
-        // pop-and-revalidate re-pushes live entries and must not advance.
-        let _ = docs.request_tasks(w);
-        let _ = docs.request_tasks(w);
-        assert_eq!(docs.dispatch_epoch(), e1, "polls must not advance");
-        // An ingested answer advances (apply + index bump).
-        docs.submit_answer(Answer {
-            task: TaskId(0),
-            worker: w,
-            choice: 0,
-        })
-        .unwrap();
-        let e2 = docs.dispatch_epoch();
-        assert!(e2 > e1);
-        // A rejected submission leaves the epoch alone.
-        assert!(docs
-            .submit_answer(Answer {
-                task: TaskId(0),
-                worker: w,
-                choice: 1,
-            })
-            .is_err());
-        assert_eq!(docs.dispatch_epoch(), e2, "rejections must not advance");
     }
 
     #[test]

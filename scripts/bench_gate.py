@@ -80,6 +80,46 @@ def baseline_json(repo: str, rev: str, name: str) -> dict | None:
         return None
 
 
+def compare(base: dict, current: dict, tolerance: float) -> list[tuple[str, str, str]]:
+    """Compares one BENCH file's metrics against its committed baseline.
+
+    Returns one ``(status, key, message)`` row per key: the current keys in
+    sorted order, then the retired ones (present only in ``base``).
+    ``status`` is ``"ok"``, ``"regressed"``, ``"warning"`` (no baseline or
+    no inferable direction), ``"info"`` (``_count`` keys) or ``"retired"``.
+    Only ``"regressed"`` fails the gate.
+    """
+    rows = []
+    for key in sorted(current):
+        new = current[key]
+        if key.endswith("_count"):
+            rows.append(("info", key, f"{key} = {new:.6g} (informational, never gated)"))
+            continue
+        if key not in base:
+            rows.append(("warning", key, f"{key} = {new:.6g} — new metric, no baseline"))
+            continue
+        d = direction(key)
+        if d is None:
+            rows.append(("warning", key, f"{key} has no inferable direction — unchecked"))
+            continue
+        old = base[key]
+        if old == 0:
+            rows.append(("ok", key, f"{key}: {old:.6g} -> {new:.6g} (zero baseline)"))
+            continue
+        change = (new - old) / abs(old)
+        regressed = (d == "lower" and change > tolerance) or (
+            d == "higher" and change < -tolerance
+        )
+        arrow = "LOWER-IS-BETTER" if d == "lower" else "higher-is-better"
+        status = "regressed" if regressed else "ok"
+        verdict = "REGRESSED" if regressed else "ok"
+        message = f"{key}: {old:.6g} -> {new:.6g} ({change:+.1%}, {arrow}) {verdict}"
+        rows.append((status, key, message))
+    for key in sorted(set(base) - set(current)):
+        rows.append(("retired", key, f"{key} retired (was {base[key]:.6g})"))
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -115,35 +155,15 @@ def main() -> int:
                 f"{len(current)} metric(s) unchecked (new file)"
             )
             continue
-        for key in sorted(current):
-            if key.endswith("_count"):
-                print(f"{name}: {key} = {current[key]:.6g} (informational, never gated)")
+        for status, _key, message in compare(base, current, args.tolerance):
+            if status == "warning":
+                warn(f"{name}: {message}")
                 continue
-            if key not in base:
-                warn(f"{name}: {key} = {current[key]:.6g} — new metric, no baseline")
-                continue
-            old, new = base[key], current[key]
-            d = direction(key)
-            if d is None:
-                warn(f"{name}: {key} has no inferable direction — unchecked")
-                continue
-            compared += 1
-            if old == 0:
-                continue
-            change = (new - old) / abs(old)
-            regressed = (d == "lower" and change > args.tolerance) or (
-                d == "higher" and change < -args.tolerance
-            )
-            arrow = "LOWER-IS-BETTER" if d == "lower" else "higher-is-better"
-            status = "REGRESSED" if regressed else "ok"
-            print(
-                f"{name}: {key}: {old:.6g} -> {new:.6g} "
-                f"({change:+.1%}, {arrow}) {status}"
-            )
-            if regressed:
-                failures.append(f"{name}: {key} {old:.6g} -> {new:.6g} ({change:+.1%})")
-        for key in sorted(set(base) - set(current)):
-            print(f"{name}: {key} retired (was {base[key]:.6g})")
+            print(f"{name}: {message}")
+            if status in ("ok", "regressed"):
+                compared += 1
+            if status == "regressed":
+                failures.append(f"{name}: {message}")
 
     print(
         f"\n{compared} metrics compared against {args.baseline}, "

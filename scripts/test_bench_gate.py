@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Unit tests for bench_gate.py's direction inference.
+"""Unit tests for bench_gate.py: direction inference and the per-file
+comparison.
 
 Run directly (CI does): ``python3 scripts/test_bench_gate.py``
 
-The gate's only judgment call is whether a metric key means "lower is
-better" or "higher is better"; a wrong inference silently inverts a
-regression check. These tests pin the marker table, in particular the
+The gate's judgment call is whether a metric key means "lower is better"
+or "higher is better"; a wrong inference silently inverts a regression
+check. These tests pin the marker table, in particular the
 histogram-quantile markers (``_p50``/``_p99``/``_p999``) and the rule
-that lower-is-better markers win when both kinds match.
+that lower-is-better markers win when both kinds match. They also pin
+what ``compare`` does with a key that left a BENCH file (retired, never
+a failure) and with one that regressed past the tolerance (a failure).
 """
 
 import unittest
 
-from bench_gate import direction
+from bench_gate import compare, direction
 
 
 class DirectionInference(unittest.TestCase):
@@ -21,7 +24,7 @@ class DirectionInference(unittest.TestCase):
             "obs_traced_submit_e2e_p99",
             "open_loop_assign_p50",
             "flush_sync_p999",
-            "dispatch_park_P99",  # case-insensitive
+            "flush_sync_P99",  # case-insensitive
         ):
             self.assertEqual(direction(key), "lower", key)
 
@@ -59,6 +62,34 @@ class DirectionInference(unittest.TestCase):
         # `_count` keys are informational in main(); direction() itself
         # must not claim them either way unless another marker matches.
         self.assertIsNone(direction("migration_forwarded_count"))
+
+
+def statuses(rows):
+    return {key: status for status, key, _ in rows}
+
+
+class Compare(unittest.TestCase):
+    def test_a_key_only_in_the_baseline_is_retired_not_failed(self):
+        base = {"openloop_pull_w100_assign_p99_ms": 1.11, "openloop_push_w100_assign_p99_ms": 1.18}
+        current = {"openloop_pull_w100_assign_p99_ms": 1.11}
+        got = statuses(compare(base, current, 0.20))
+        self.assertEqual(got["openloop_push_w100_assign_p99_ms"], "retired")
+        self.assertEqual(got["openloop_pull_w100_assign_p99_ms"], "ok")
+        self.assertNotIn("regressed", got.values())
+
+    def test_a_key_that_regresses_past_tolerance_fails(self):
+        base = {"assign_p99_ms": 1.0, "tput_answers_per_s": 1000.0}
+        # 30% slower and 30% less throughput: both past a 20% tolerance.
+        current = {"assign_p99_ms": 1.3, "tput_answers_per_s": 700.0}
+        got = statuses(compare(base, current, 0.20))
+        self.assertEqual(got, {"assign_p99_ms": "regressed", "tput_answers_per_s": "regressed"})
+        # The same moves inside a 40% tolerance pass.
+        got = statuses(compare(base, current, 0.40))
+        self.assertEqual(got, {"assign_p99_ms": "ok", "tput_answers_per_s": "ok"})
+
+    def test_new_and_count_keys_never_fail(self):
+        got = statuses(compare({}, {"fresh_ms": 5.0, "forwarded_count": 3}, 0.20))
+        self.assertEqual(got, {"fresh_ms": "warning", "forwarded_count": "info"})
 
 
 if __name__ == "__main__":
