@@ -213,7 +213,7 @@ impl Assigner {
     ///
     /// Produces exactly [`Assigner::assign`]'s picks (same benefits, same
     /// tie-breaks) for every shard count — see the exactness argument in
-    /// the [`index`] module docs — while evaluating the benefit function
+    /// the `index` module docs — while evaluating the benefit function
     /// only for tasks whose entropy bound can still reach the top-`k`.
     ///
     /// The index must be current: every state mutation since it was built

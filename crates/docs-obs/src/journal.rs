@@ -39,8 +39,9 @@ impl Severity {
 }
 
 /// What happened. One variant per control-plane event class the service
-/// emits; the set mirrors the counters in `RoutingStats` and friends so
-/// every counted event class can also be journaled with its context.
+/// emits; the set mirrors the service's `Counter` table (routing,
+/// replication, durability) so every counted event class can also be
+/// journaled with its context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JournalKind {
     /// A node changed replica role (follower → primary).

@@ -47,6 +47,8 @@ pub use apply::{Promotion, Replica};
 pub use frame::{decode_frame, encode_frame};
 pub use migrate::{migrate_campaign, MigrationOutcome, MigrationSource};
 pub use ship::{
-    bootstrap_frames, replication_channel, FollowerLag, FollowerLink, HubStats, ReplicationHub,
-    ShippedRecord,
+    bootstrap_frames, replication_channel, FollowerLink, ReplicationHub, ShippedRecord,
 };
+// The hub's stats are rendered by the service's metrics exposition, so the
+// types live in docs-service; re-exported here next to the hub.
+pub use docs_service::{FollowerLag, HubStats};

@@ -18,14 +18,14 @@
 use crate::frame::encode_frame_into;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use docs_obs::JournalKind;
-use docs_service::{FollowerLagSample, HubHealth, ReplicationSink, ServiceMetrics};
+use docs_service::{FollowerLag, HubStats, ReplicationSink, ServiceMetrics};
 use docs_storage::recover_tree;
 use docs_system::ReplicaWatermarks;
 use docs_types::{CampaignId, EventFrame, ReplicationFrame, Result, SnapshotFrame};
 use parking_lot::Mutex;
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -101,95 +101,41 @@ struct FollowerSlot {
 struct HubInner {
     followers: Mutex<Vec<FollowerSlot>>,
     shipped: Mutex<ReplicaWatermarks>,
-    frames_shipped: AtomicU64,
-    events_shipped: AtomicU64,
-    bytes_shipped: AtomicU64,
-    snapshot_bytes_shipped: AtomicU64,
-    followers_dropped: AtomicU64,
-    encode_buffer_reuses: AtomicU64,
+    /// The pump's running counters; [`HubInner::stats`] fills in the
+    /// follower fields.
+    totals: Mutex<HubStats>,
     /// The primary's metrics, when attached: the pump publishes
-    /// [`HubHealth`] snapshots into it and journals follower cutoffs.
+    /// [`HubStats`] snapshots into it and journals follower cutoffs.
     metrics: Mutex<Option<ServiceMetrics>>,
 }
 
 impl HubInner {
-    /// The hub's counters and per-follower lag as one [`HubHealth`]
-    /// sample, for the metrics exposition.
-    fn health(&self) -> HubHealth {
-        let shipped = self.shipped.lock().clone();
-        let follower_lags = self
+    /// The hub's counters and per-follower lag (shipped minus acked, per
+    /// campaign, summed) as one snapshot.
+    fn stats(&self) -> HubStats {
+        let shipped = self.shipped.lock().all();
+        let follower_lags: Vec<FollowerLag> = self
             .followers
             .lock()
             .iter()
             .map(|slot| {
                 let acked = slot.acked.lock().clone();
-                let lag_events = shipped
-                    .all()
-                    .into_iter()
-                    .map(|(campaign, seq)| seq.saturating_sub(acked.get(campaign)))
-                    .sum();
-                FollowerLagSample {
+                FollowerLag {
                     name: slot.name.clone(),
-                    lag_events,
-                    acked_max: acked
-                        .all()
-                        .into_iter()
-                        .map(|(_, seq)| seq)
-                        .max()
-                        .unwrap_or(0),
+                    lag_events: shipped
+                        .iter()
+                        .map(|&(campaign, seq)| seq.saturating_sub(acked.get(campaign)))
+                        .sum(),
+                    acked: acked.all(),
                 }
             })
-            .collect::<Vec<_>>();
-        HubHealth {
-            frames_shipped: self.frames_shipped.load(Ordering::Relaxed),
-            events_shipped: self.events_shipped.load(Ordering::Relaxed),
-            bytes_shipped: self.bytes_shipped.load(Ordering::Relaxed),
-            snapshot_bytes_shipped: self.snapshot_bytes_shipped.load(Ordering::Relaxed),
+            .collect();
+        HubStats {
             followers: follower_lags.len(),
-            followers_dropped: self.followers_dropped.load(Ordering::Relaxed),
             follower_lags,
+            ..self.totals.lock().clone()
         }
     }
-}
-
-/// Aggregate shipping counters of one hub.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HubStats {
-    /// Frames fanned out (event and snapshot frames alike).
-    pub frames_shipped: u64,
-    /// Events carried inside event frames.
-    pub events_shipped: u64,
-    /// Encoded wire bytes of **event** frames actually fanned out (per
-    /// follower copy not counted). Snapshot frames are tallied separately
-    /// in [`HubStats::snapshot_bytes_shipped`]: a snapshot is a one-off
-    /// bootstrap/fast-forward cost, and folding it into the stream counter
-    /// would make "bytes per event" depend on how often campaigns snapshot
-    /// rather than on what the steady-state stream costs.
-    pub bytes_shipped: u64,
-    /// Encoded wire bytes of snapshot frames actually fanned out.
-    pub snapshot_bytes_shipped: u64,
-    /// Currently subscribed followers.
-    pub followers: usize,
-    /// Followers cut off for trailing the pump by more than their stream
-    /// bound (they must re-subscribe and re-bootstrap to rejoin).
-    pub followers_dropped: u64,
-    /// Pump iterations that encoded into the retained scratch buffer
-    /// without growing it — the per-frame encode allocations the arena
-    /// reuse avoided (one exact-size copy per fanned-out record remains;
-    /// fan-out itself is refcounting). In steady state this tracks
-    /// `frames_shipped` minus the handful of frames that grew the buffer.
-    pub encode_buffer_reuses: u64,
-}
-
-/// One follower's lag against the hub's shipped watermarks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FollowerLag {
-    /// The name the follower subscribed under.
-    pub name: String,
-    /// Shipped-but-unacked events, summed across campaigns.
-    pub lag_events: u64,
-    /// The follower's acked watermark per campaign, ascending by id.
-    pub acked: Vec<(CampaignId, u64)>,
 }
 
 /// The fan-out hub between one primary and its followers.
@@ -207,12 +153,7 @@ impl ReplicationHub {
         let inner = Arc::new(HubInner {
             followers: Mutex::new(Vec::new()),
             shipped: Mutex::new(ReplicaWatermarks::new()),
-            frames_shipped: AtomicU64::new(0),
-            events_shipped: AtomicU64::new(0),
-            bytes_shipped: AtomicU64::new(0),
-            snapshot_bytes_shipped: AtomicU64::new(0),
-            followers_dropped: AtomicU64::new(0),
-            encode_buffer_reuses: AtomicU64::new(0),
+            totals: Mutex::new(HubStats::default()),
             metrics: Mutex::new(None),
         });
         let pump_inner = Arc::clone(&inner);
@@ -231,7 +172,7 @@ impl ReplicationHub {
     /// from [`bootstrap_frames`] — subscribe first, scan second, and the
     /// watermark table de-duplicates the overlap.
     ///
-    /// The stream is bounded ([`FOLLOWER_STREAM_CAPACITY`]): a follower
+    /// The stream is bounded (`FOLLOWER_STREAM_CAPACITY`): a follower
     /// that trails the pump by more than the bound is **disconnected**
     /// (counted in [`HubStats::followers_dropped`]) rather than allowed to
     /// grow the primary's memory without limit. Its applier drains what
@@ -265,25 +206,17 @@ impl ReplicationHub {
     }
 
     /// Attaches the primary's metrics: from now on the pump publishes a
-    /// [`HubHealth`] snapshot (counters + per-follower lag) after every
+    /// [`HubStats`] snapshot (counters + per-follower lag) after every
     /// shipped frame, and follower lag-cutoffs land in the control
     /// journal — so `render_prometheus()` on the primary covers the hub.
     pub fn attach_metrics(&self, metrics: &ServiceMetrics) {
         *self.inner.metrics.lock() = Some(metrics.clone());
-        metrics.hub_observed(self.inner.health());
+        metrics.hub_observed(self.inner.stats());
     }
 
-    /// Shipping counters so far.
+    /// Shipping counters and per-follower lag so far.
     pub fn stats(&self) -> HubStats {
-        HubStats {
-            frames_shipped: self.inner.frames_shipped.load(Ordering::Relaxed),
-            events_shipped: self.inner.events_shipped.load(Ordering::Relaxed),
-            bytes_shipped: self.inner.bytes_shipped.load(Ordering::Relaxed),
-            snapshot_bytes_shipped: self.inner.snapshot_bytes_shipped.load(Ordering::Relaxed),
-            followers: self.inner.followers.lock().len(),
-            followers_dropped: self.inner.followers_dropped.load(Ordering::Relaxed),
-            encode_buffer_reuses: self.inner.encode_buffer_reuses.load(Ordering::Relaxed),
-        }
+        self.inner.stats()
     }
 
     /// The highest sequence shipped per campaign.
@@ -293,25 +226,7 @@ impl ReplicationHub {
 
     /// Per-follower lag: shipped minus acked, per campaign, summed.
     pub fn lag(&self) -> Vec<FollowerLag> {
-        let shipped = self.inner.shipped.lock().clone();
-        self.inner
-            .followers
-            .lock()
-            .iter()
-            .map(|slot| {
-                let acked = slot.acked.lock().clone();
-                let lag_events = shipped
-                    .all()
-                    .into_iter()
-                    .map(|(campaign, seq)| seq.saturating_sub(acked.get(campaign)))
-                    .sum();
-                FollowerLag {
-                    name: slot.name.clone(),
-                    lag_events,
-                    acked: acked.all(),
-                }
-            })
-            .collect()
+        self.stats().follower_lags
     }
 
     /// Waits for the pump to drain and stop (the primary's sinks must all
@@ -350,10 +265,11 @@ fn pump_loop(inner: &HubInner, feed: Receiver<ReplicationFrame>) {
                 }
             }
         }
-        inner.frames_shipped.fetch_add(1, Ordering::Relaxed);
-        inner
-            .events_shipped
-            .fetch_add(frame.num_events() as u64, Ordering::Relaxed);
+        {
+            let mut totals = inner.totals.lock();
+            totals.frames_shipped += 1;
+            totals.events_shipped += frame.num_events() as u64;
+        }
         // Encode lazily: with nobody subscribed there is no wire to put
         // bytes on, so the pump only tracks watermarks and frame counts.
         // The encode cost (and the byte counters) start when the first
@@ -363,18 +279,21 @@ fn pump_loop(inner: &HubInner, feed: Receiver<ReplicationFrame>) {
         }
         let cap_before = scratch.capacity();
         encode_frame_into(&frame, &mut scratch);
-        if cap_before > 0 && scratch.capacity() == cap_before {
-            inner.encode_buffer_reuses.fetch_add(1, Ordering::Relaxed);
-        }
         let record = ShippedRecord {
             bytes: Arc::from(scratch.as_slice()),
             shipped_at: Instant::now(),
         };
-        let byte_counter = match &frame {
-            ReplicationFrame::Snapshot(_) => &inner.snapshot_bytes_shipped,
-            ReplicationFrame::Events(_) => &inner.bytes_shipped,
-        };
-        byte_counter.fetch_add(record.len() as u64, Ordering::Relaxed);
+        {
+            let mut totals = inner.totals.lock();
+            if cap_before > 0 && scratch.capacity() == cap_before {
+                totals.encode_buffer_reuses += 1;
+            }
+            let len = record.len() as u64;
+            match &frame {
+                ReplicationFrame::Snapshot(_) => totals.snapshot_bytes_shipped += len,
+                ReplicationFrame::Events(_) => totals.bytes_shipped += len,
+            }
+        }
         // Fan out (a refcount bump per follower, the bytes are shared),
         // forgetting followers whose applier hung up — and cutting off
         // followers whose bounded stream is full: the pump never blocks
@@ -400,11 +319,7 @@ fn pump_loop(inner: &HubInner, feed: Receiver<ReplicationFrame>) {
                 }
                 Err(TrySendError::Disconnected(_)) => false,
             });
-        if !cut_names.is_empty() {
-            inner
-                .followers_dropped
-                .fetch_add(cut_names.len() as u64, Ordering::Relaxed);
-        }
+        inner.totals.lock().followers_dropped += cut_names.len() as u64;
         // Metrics ride the pump thread, never a shard: publish the hub's
         // health after each fan-out and journal any cutoffs.
         if let Some(metrics) = inner.metrics.lock().as_ref() {
@@ -414,7 +329,7 @@ fn pump_loop(inner: &HubInner, feed: Receiver<ReplicationFrame>) {
                     format!("follower '{name}' cut off for trailing past its stream bound"),
                 );
             }
-            metrics.hub_observed(inner.health());
+            metrics.hub_observed(inner.stats());
         }
     }
     // Feed gone (primary stopped or crashed): drop every follower sender

@@ -40,7 +40,7 @@
 //!   (`Docs::request_tasks`); this is the only way assignments reach
 //!   workers (see ARCHITECTURE.md, "Task assignment"),
 //! * **Typed errors**: every refusal carries a matchable
-//!   [`RejectReason`](docs_types::RejectReason)
+//!   [`RejectReason`]
 //!   (`DuplicateAnswer`, `UnknownCampaign`, `BudgetExhausted`, …) whose
 //!   `Display` output preserves the pre-taxonomy message text, end to end
 //!   from docs-system validation through the wire to
@@ -56,10 +56,12 @@
 //!   (see ARCHITECTURE.md, "Durability & recovery"),
 //! * [`ServiceMetrics`] records per-operation latency (count/mean/max),
 //!   per-shard queue depth / in-flight tickets / busy rejections / service
-//!   time ([`ShardStats`]), and the durability counters
-//!   ([`DurabilityStats`]), so the Figure 8(b) "worst-case assignment
-//!   time" measurement works under real concurrency and the pool's
-//!   balance and admission pressure are observable,
+//!   time / log gauges ([`ShardStats`]), and the service-wide durability,
+//!   replication and routing counters (one [`Counter`] table), and renders
+//!   all of it plus the replication hub's [`HubStats`] in one exposition,
+//!   so the Figure 8(b) "worst-case assignment time" measurement works
+//!   under real concurrency and the pool's balance and admission pressure
+//!   are observable,
 //! * **Replication** ([`ServiceConfig::role`] +
 //!   [`ServiceConfig::with_replication`]): a primary ships every durable
 //!   event and snapshot as [`docs_types::ReplicationFrame`]s
@@ -106,10 +108,7 @@ pub use client::{
     DriveOutcome, DriveReport,
 };
 pub use message::{BatchOutcome, Completion, CorrelationId, Request, RequestEnvelope, Response};
-pub use metrics::{
-    DurabilityStats, FollowerLagSample, HubHealth, OpKind, OpStats, ReplicationStats, RoutingStats,
-    ServiceMetrics, ShardStats,
-};
+pub use metrics::{Counter, FollowerLag, HubStats, OpKind, OpStats, ServiceMetrics, ShardStats};
 pub use routing::{absorb_redirects, ClusterNode, ClusterRouter, ClusterRouterStats, DriveTarget};
 pub use server::{
     DocsService, DurabilityConfig, ReplicationSink, ServiceConfig, ServiceError, ServiceHandle,

@@ -13,6 +13,9 @@
 //!   (p50/p99/p999) is available per kind, per shard, or merged,
 //! * per-shard queue depth (current + high-water mark) and service-time
 //!   counters on atomics, updated on the enqueue/dequeue hot path,
+//! * the service-wide durability, replication and routing counters, one
+//!   [`Counter`] table read and written through [`ServiceMetrics::add`] /
+//!   [`ServiceMetrics::counter`],
 //! * pipeline-stage histograms: group-commit batch size and fdatasync
 //!   duration, replication ship→applied lag, router hop time, and
 //!   migration fence windows,
@@ -26,7 +29,7 @@ use docs_obs::{
     AtomicHistogram, ControlJournal, Exposition, FlightRecorder, LatencyHistogram, MetricKind,
     TraceContext,
 };
-use docs_types::TraceId;
+use docs_types::{CampaignId, TraceId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -68,7 +71,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every kind, in declaration order. The histogram table, exposition,
-    /// and [`OpKind::index`] are all derived from this array, so adding a
+    /// and `OpKind::index` are all derived from this array, so adding a
     /// variant means adding it here (and the cross-check test fails if the
     /// orders drift).
     pub const ALL: [OpKind; 9] = [
@@ -203,39 +206,136 @@ pub struct ShardStats {
     pub log_bytes: u64,
 }
 
-/// Service-wide durability counters (replay happens before the pool runs,
-/// snapshots on shard threads; both are low-frequency).
-#[derive(Debug, Default)]
-struct DurabilityCounters {
-    events_replayed: AtomicU64,
-    replay_rejected: AtomicU64,
-    snapshots_loaded: AtomicU64,
-    snapshots_written: AtomicU64,
-    torn_tail_recoveries: AtomicU64,
+/// The service-wide counters: durability and recovery, replication, and
+/// cluster routing. Each is declared once, here: its exposition name and
+/// help are exhaustive matches (a variant without them does not compile),
+/// and the exposition renders every entry of [`Counter::ALL`].
+///
+/// A service plays one replication role at a time, so the other side's
+/// counters simply stay zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Events replayed during [`recovery`](crate::DocsService::recover).
+    EventsReplayed,
+    /// Replayed events whose application was (deterministically) rejected.
+    ReplayRejected,
+    /// Campaign snapshots loaded during recovery.
+    SnapshotsLoaded,
+    /// Campaign snapshots written while serving (creation, cadence,
+    /// recovery re-baseline).
+    SnapshotsWritten,
+    /// Log segments whose recovery scan ended in a torn record — the
+    /// expected artifact of a crash mid-append, tolerated and counted.
+    TornTailRecoveries,
+    /// Frames handed to the replication sink (primary side).
+    FramesShipped,
+    /// Durable events shipped inside those frames (primary side).
+    EventsShipped,
+    /// Replicated events applied through the state machine (follower side).
+    EventsApplied,
+    /// Snapshots installed from the stream (follower side).
+    SnapshotsInstalled,
+    /// Mutations refused with `RejectReason::ReadOnlyReplica` (follower
+    /// side).
+    ReadOnlyRejections,
+    /// Mutations refused with `RejectReason::WrongNode` (fenced, in
+    /// intake, or directory-placed elsewhere).
+    WrongNodeRejections,
+    /// Cluster maps installed (counted once per shard per accepted
+    /// install).
+    MapsInstalled,
+    /// Campaigns fenced away from this node.
+    CampaignsFenced,
+    /// Campaigns adopted through a completed migration intake.
+    MigrationsAdopted,
+    /// Submissions that reached this node after a `WrongNode` redirect
+    /// elsewhere — the forwarded tail of a migration's fence window
+    /// (counted by the router on successful retry).
+    ForwardedSubmissions,
 }
 
-/// Service-wide replication counters: the shipping side on a primary, the
-/// applying side on a follower (a service plays one role at a time, so the
-/// other side's counters simply stay zero).
-#[derive(Debug, Default)]
-struct ReplicationCounters {
-    frames_shipped: AtomicU64,
-    events_shipped: AtomicU64,
-    events_applied: AtomicU64,
-    snapshots_installed: AtomicU64,
-    read_only_rejections: AtomicU64,
+impl Counter {
+    /// Every counter, in declaration order (the storage table and the
+    /// exposition are both derived from this array; a compile-time check
+    /// below pins the order).
+    pub const ALL: [Counter; 15] = [
+        Counter::EventsReplayed,
+        Counter::ReplayRejected,
+        Counter::SnapshotsLoaded,
+        Counter::SnapshotsWritten,
+        Counter::TornTailRecoveries,
+        Counter::FramesShipped,
+        Counter::EventsShipped,
+        Counter::EventsApplied,
+        Counter::SnapshotsInstalled,
+        Counter::ReadOnlyRejections,
+        Counter::WrongNodeRejections,
+        Counter::MapsInstalled,
+        Counter::CampaignsFenced,
+        Counter::MigrationsAdopted,
+        Counter::ForwardedSubmissions,
+    ];
+
+    /// The Prometheus family name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Counter::EventsReplayed => "docs_replay_events_total",
+            Counter::ReplayRejected => "docs_replay_rejected_total",
+            Counter::SnapshotsLoaded => "docs_snapshots_loaded_total",
+            Counter::SnapshotsWritten => "docs_snapshots_written_total",
+            Counter::TornTailRecoveries => "docs_torn_tail_recoveries_total",
+            Counter::FramesShipped => "docs_replication_frames_shipped_total",
+            Counter::EventsShipped => "docs_replication_events_shipped_total",
+            Counter::EventsApplied => "docs_replication_events_applied_total",
+            Counter::SnapshotsInstalled => "docs_replication_snapshots_installed_total",
+            Counter::ReadOnlyRejections => "docs_replication_read_only_rejections_total",
+            Counter::WrongNodeRejections => "docs_routing_wrong_node_rejections_total",
+            Counter::MapsInstalled => "docs_routing_maps_installed_total",
+            Counter::CampaignsFenced => "docs_routing_campaigns_fenced_total",
+            Counter::MigrationsAdopted => "docs_routing_migrations_adopted_total",
+            Counter::ForwardedSubmissions => "docs_routing_forwarded_submissions_total",
+        }
+    }
+
+    /// The Prometheus help text.
+    pub fn help(self) -> &'static str {
+        match self {
+            Counter::EventsReplayed => "Events replayed during recovery.",
+            Counter::ReplayRejected => "Replayed events deterministically rejected.",
+            Counter::SnapshotsLoaded => "Campaign snapshots loaded during recovery.",
+            Counter::SnapshotsWritten => "Campaign snapshots written while serving.",
+            Counter::TornTailRecoveries => {
+                "Log segments whose recovery scan ended in a torn record."
+            }
+            Counter::FramesShipped => "Frames handed to the replication sink (primary side).",
+            Counter::EventsShipped => "Durable events shipped inside frames (primary side).",
+            Counter::EventsApplied => "Replicated events applied (follower side).",
+            Counter::SnapshotsInstalled => "Snapshots installed from the stream (follower side).",
+            Counter::ReadOnlyRejections => "Mutations refused on a read-only follower.",
+            Counter::WrongNodeRejections => {
+                "Mutations refused with WrongNode (fenced, intake, or placed elsewhere)."
+            }
+            Counter::MapsInstalled => "Cluster maps installed (per shard per accepted install).",
+            Counter::CampaignsFenced => "Campaigns fenced away from this node.",
+            Counter::MigrationsAdopted => "Campaigns adopted through migration intake.",
+            Counter::ForwardedSubmissions => {
+                "Submissions that landed here after a WrongNode redirect elsewhere."
+            }
+        }
+    }
 }
 
-/// Service-wide cluster-routing counters: what the ownership admission
-/// check decided, and what the migration machinery did to this node.
-#[derive(Debug, Default)]
-struct RoutingCounters {
-    wrong_node_rejections: AtomicU64,
-    maps_installed: AtomicU64,
-    campaigns_fenced: AtomicU64,
-    migrations_adopted: AtomicU64,
-    forwarded_submissions: AtomicU64,
-}
+const NUM_COUNTERS: usize = Counter::ALL.len();
+
+// `Counter::ALL` lists the variants in discriminant order, so
+// `counter as usize` indexes both it and the storage table.
+const _: () = {
+    let mut i = 0;
+    while i < NUM_COUNTERS {
+        assert!(Counter::ALL[i] as usize == i, "Counter::ALL out of order");
+        i += 1;
+    }
+};
 
 /// Pipeline-stage histograms: where a durable replicated request's time
 /// goes *between* the per-operation service times — group commit, the
@@ -264,119 +364,49 @@ struct TraceSampling {
     counter: AtomicU64,
 }
 
-/// Replication-hub health as published into the metrics surface, so the
-/// exposition can cover replication without callers reaching for the
-/// hub's bespoke stats methods. The shape mirrors the hub's `HubStats` +
-/// `FollowerLag` (docs-replication publishes it; docs-service only
-/// renders it — the dependency points this way because docs-replication
-/// already depends on docs-service).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HubHealth {
+/// Counters and per-follower lag of one replication hub. The hub lives in
+/// docs-replication (which re-exports this type); it is defined here, next
+/// to the exposition that renders it, because docs-replication depends on
+/// docs-service and not the other way round.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HubStats {
     /// Frames fanned out (event and snapshot frames alike).
     pub frames_shipped: u64,
     /// Events carried inside event frames.
     pub events_shipped: u64,
-    /// Encoded wire bytes of event frames fanned out.
+    /// Encoded wire bytes of **event** frames actually fanned out (per
+    /// follower copy not counted). Snapshot frames are tallied separately
+    /// in [`HubStats::snapshot_bytes_shipped`]: a snapshot is a one-off
+    /// bootstrap/fast-forward cost, and folding it into the stream counter
+    /// would make "bytes per event" depend on how often campaigns snapshot
+    /// rather than on what the steady-state stream costs.
     pub bytes_shipped: u64,
-    /// Encoded wire bytes of snapshot frames fanned out.
+    /// Encoded wire bytes of snapshot frames actually fanned out.
     pub snapshot_bytes_shipped: u64,
     /// Currently subscribed followers.
     pub followers: usize,
-    /// Followers cut off for trailing the pump beyond their stream bound.
+    /// Followers cut off for trailing the pump by more than their stream
+    /// bound (they must re-subscribe and re-bootstrap to rejoin).
     pub followers_dropped: u64,
+    /// Pump iterations that encoded into the retained scratch buffer
+    /// without growing it — the per-frame encode allocations the arena
+    /// reuse avoided (one exact-size copy per fanned-out record remains;
+    /// fan-out itself is refcounting). In steady state this tracks
+    /// `frames_shipped` minus the handful of frames that grew the buffer.
+    pub encode_buffer_reuses: u64,
     /// Per-follower lag, one entry per subscribed follower.
-    pub follower_lags: Vec<FollowerLagSample>,
+    pub follower_lags: Vec<FollowerLag>,
 }
 
-/// One follower's lag as published into the exposition.
+/// One follower's lag against the hub's shipped watermarks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FollowerLagSample {
+pub struct FollowerLag {
     /// The name the follower subscribed under.
     pub name: String,
     /// Shipped-but-unacked events, summed across campaigns.
     pub lag_events: u64,
-    /// Highest acked per-campaign watermark (coarse progress indicator).
-    pub acked_max: u64,
-}
-
-/// Aggregate cluster-routing view across the whole service — surfaced by
-/// [`ServiceMetrics::routing`] next to the replication counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoutingStats {
-    /// Mutations refused with `RejectReason::WrongNode` (fenced, in
-    /// intake, or directory-placed elsewhere).
-    pub wrong_node_rejections: u64,
-    /// Cluster maps installed (counted once per shard per accepted
-    /// install).
-    pub maps_installed: u64,
-    /// Campaigns fenced away from this node.
-    pub campaigns_fenced: u64,
-    /// Campaigns adopted through a completed migration intake.
-    pub migrations_adopted: u64,
-    /// Submissions that reached this node after a `WrongNode` redirect
-    /// elsewhere — the forwarded tail of a migration's fence window
-    /// (counted by the router on successful retry).
-    pub forwarded_submissions: u64,
-}
-
-impl std::fmt::Display for RoutingStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "routing: {} wrong-node rejections, {} maps installed, \
-             {} campaigns fenced, {} migrations adopted, {} forwarded submissions",
-            self.wrong_node_rejections,
-            self.maps_installed,
-            self.campaigns_fenced,
-            self.migrations_adopted,
-            self.forwarded_submissions
-        )
-    }
-}
-
-/// Aggregate replication view across the whole service.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplicationStats {
-    /// Frames handed to the replication sink (primary side).
-    pub frames_shipped: u64,
-    /// Durable events shipped inside those frames (primary side).
-    pub events_shipped: u64,
-    /// Replicated events applied through the state machine (follower side).
-    pub events_applied: u64,
-    /// Snapshots installed from the stream (follower side).
-    pub snapshots_installed: u64,
-    /// Mutations refused with `RejectReason::ReadOnlyReplica` (follower
-    /// side).
-    pub read_only_rejections: u64,
-}
-
-/// Aggregate durability/recovery view across the whole service.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurabilityStats {
-    /// Events appended across every shard's campaign log.
-    pub events_logged: u64,
-    /// Group-commit flushes across every shard.
-    pub log_flushes: u64,
-    /// Most recent flush among the shards (max of the per-shard gauges).
-    pub last_flush: Duration,
-    /// Worst flush across all shards.
-    pub max_flush: Duration,
-    /// Total on-disk log bytes across shards.
-    pub log_bytes: u64,
-    /// Events replayed during [`recovery`](crate::DocsService::recover).
-    pub events_replayed: u64,
-    /// Replayed events whose application was (deterministically) rejected.
-    pub replay_rejected: u64,
-    /// Campaign snapshots loaded during recovery.
-    pub snapshots_loaded: u64,
-    /// Campaign snapshots written while serving (creation, cadence,
-    /// recovery re-baseline).
-    pub snapshots_written: u64,
-    /// Log segments whose recovery scan ended in a torn record — the
-    /// expected artifact of a crash mid-append, tolerated and counted
-    /// (previously classified by `Wal::replay_all` but silently dropped
-    /// after recovery).
-    pub torn_tail_recoveries: u64,
+    /// The follower's acked watermark per campaign, ascending by id.
+    pub acked: Vec<(CampaignId, u64)>,
 }
 
 impl ShardStats {
@@ -405,11 +435,9 @@ pub struct ServiceMetrics {
     /// Per-shard × per-kind latency histograms (lock-free recording).
     ops: Arc<Vec<KindHistograms>>,
     shards: Arc<Vec<ShardCounters>>,
-    durability: Arc<DurabilityCounters>,
-    replication: Arc<ReplicationCounters>,
-    routing: Arc<RoutingCounters>,
+    counters: Arc<[AtomicU64; NUM_COUNTERS]>,
     pipeline: Arc<PipelineHistograms>,
-    hub: Arc<Mutex<Option<HubHealth>>>,
+    hub: Arc<Mutex<Option<HubStats>>>,
     journal: Arc<ControlJournal>,
     flight: Arc<FlightRecorder>,
     trace: Arc<TraceSampling>,
@@ -428,27 +456,13 @@ impl ServiceMetrics {
         ServiceMetrics {
             ops: Arc::new((0..shards).map(|_| new_kind_histograms()).collect()),
             shards: Arc::new((0..shards).map(|_| ShardCounters::default()).collect()),
-            durability: Arc::new(DurabilityCounters::default()),
-            replication: Arc::new(ReplicationCounters::default()),
-            routing: Arc::new(RoutingCounters::default()),
+            counters: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
             pipeline: Arc::new(PipelineHistograms::default()),
             hub: Arc::new(Mutex::new(None)),
             journal: Arc::new(ControlJournal::new()),
             flight: Arc::new(FlightRecorder::new()),
             trace: Arc::new(TraceSampling::default()),
         }
-    }
-
-    /// Number of shards being tracked.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Records one completed operation with no shard attribution (client
-    /// side wrappers; shard threads use [`ServiceMetrics::record_on`]).
-    /// Lands in shard 0's histogram table.
-    pub fn record(&self, kind: OpKind, elapsed: Duration) {
-        self.record_on(0, kind, elapsed);
     }
 
     /// Records one completed operation against the shard that served it.
@@ -587,105 +601,14 @@ impl ServiceMetrics {
         c.log_bytes.store(log_bytes, Ordering::Relaxed);
     }
 
-    /// Records events (and deterministic rejections) replayed during
-    /// recovery.
-    pub fn replay_recorded(&self, applied: u64, rejected: u64) {
-        self.durability
-            .events_replayed
-            .fetch_add(applied, Ordering::Relaxed);
-        self.durability
-            .replay_rejected
-            .fetch_add(rejected, Ordering::Relaxed);
+    /// Adds `n` to one service-wide counter.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one campaign snapshot loaded during recovery.
-    pub fn snapshot_loaded(&self) {
-        self.durability
-            .snapshots_loaded
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one campaign snapshot written while serving.
-    pub fn snapshot_written(&self) {
-        self.durability
-            .snapshots_written
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records log segments whose recovery scan ended in a torn record
-    /// (tolerated crash artifacts, surfaced instead of dropped).
-    pub fn torn_tail_recovered(&self, segments: u64) {
-        self.durability
-            .torn_tail_recoveries
-            .fetch_add(segments, Ordering::Relaxed);
-    }
-
-    /// Records one replication frame (carrying `events` durable events)
-    /// handed to the replication sink.
-    pub fn frame_shipped(&self, events: u64) {
-        self.replication
-            .frames_shipped
-            .fetch_add(1, Ordering::Relaxed);
-        self.replication
-            .events_shipped
-            .fetch_add(events, Ordering::Relaxed);
-    }
-
-    /// Records one replicated event applied on a follower.
-    pub fn replicated_applied(&self) {
-        self.replication
-            .events_applied
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one snapshot installed from the replication stream.
-    pub fn snapshot_installed(&self) {
-        self.replication
-            .snapshots_installed
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one mutation refused because this service is a read-only
-    /// follower.
-    pub fn read_only_rejection(&self) {
-        self.replication
-            .read_only_rejections
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one mutation refused with `RejectReason::WrongNode`.
-    pub fn wrong_node_rejection(&self) {
-        self.routing
-            .wrong_node_rejections
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one accepted cluster-map install (per shard).
-    pub fn map_installed(&self) {
-        self.routing.maps_installed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one campaign fenced away from this node.
-    pub fn campaign_fenced(&self) {
-        self.routing
-            .campaigns_fenced
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one campaign adopted through migration intake.
-    pub fn migration_adopted(&self) {
-        self.routing
-            .migrations_adopted
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one submission that landed here after a `WrongNode`
-    /// redirect elsewhere (recorded by the routing client on successful
-    /// retry against this node).
-    pub fn forwarded_submission(&self) {
-        self.routing
-            .forwarded_submissions
-            .fetch_add(1, Ordering::Relaxed);
+    /// One service-wide counter's current value.
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
     }
 
     // ---- pipeline-stage histograms -------------------------------------
@@ -720,37 +643,17 @@ impl ServiceMetrics {
         self.pipeline.flush_batch_events.snapshot()
     }
 
-    /// Distribution of WAL flush (write + fdatasync) wall times.
-    pub fn flush_sync_histogram(&self) -> LatencyHistogram {
-        self.pipeline.flush_sync_ns.snapshot()
-    }
-
     /// Distribution of replication ship→applied lag.
     pub fn replication_lag_histogram(&self) -> LatencyHistogram {
         self.pipeline.replication_lag_ns.snapshot()
     }
 
-    /// Distribution of routing hop times.
-    pub fn router_hop_histogram(&self) -> LatencyHistogram {
-        self.pipeline.router_hop_ns.snapshot()
-    }
-
-    /// Distribution of migration fence windows.
-    pub fn fence_window_histogram(&self) -> LatencyHistogram {
-        self.pipeline.fence_window_ns.snapshot()
-    }
-
     // ---- hub health ----------------------------------------------------
 
-    /// Publishes the replication hub's health (called by the hub pump, so
+    /// Publishes the replication hub's stats (called by the hub pump, so
     /// the exposition always has a fresh copy without polling the hub).
-    pub fn hub_observed(&self, health: HubHealth) {
-        *self.hub.lock() = Some(health);
-    }
-
-    /// The most recently published hub health, if a hub is attached.
-    pub fn hub_health(&self) -> Option<HubHealth> {
-        self.hub.lock().clone()
+    pub fn hub_observed(&self, stats: HubStats) {
+        *self.hub.lock() = Some(stats);
     }
 
     // ---- tracing and the control journal -------------------------------
@@ -759,11 +662,6 @@ impl ServiceMetrics {
     /// [`TraceContext`] (0 disables tracing; 1 traces everything).
     pub fn set_trace_sampling(&self, every: u64) {
         self.trace.every.store(every, Ordering::Relaxed);
-    }
-
-    /// Current sampling interval (0 = tracing disabled).
-    pub fn trace_sampling(&self) -> u64 {
-        self.trace.every.load(Ordering::Relaxed)
     }
 
     /// Starts a trace for this submission if the sampler selects it. The
@@ -791,54 +689,7 @@ impl ServiceMetrics {
         &self.journal
     }
 
-    // ---- aggregate views ----------------------------------------------
-
-    /// Aggregate cluster-routing view.
-    pub fn routing(&self) -> RoutingStats {
-        RoutingStats {
-            wrong_node_rejections: self.routing.wrong_node_rejections.load(Ordering::Relaxed),
-            maps_installed: self.routing.maps_installed.load(Ordering::Relaxed),
-            campaigns_fenced: self.routing.campaigns_fenced.load(Ordering::Relaxed),
-            migrations_adopted: self.routing.migrations_adopted.load(Ordering::Relaxed),
-            forwarded_submissions: self.routing.forwarded_submissions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Aggregate replication view (shipping side on a primary, applying
-    /// side on a follower).
-    pub fn replication(&self) -> ReplicationStats {
-        ReplicationStats {
-            frames_shipped: self.replication.frames_shipped.load(Ordering::Relaxed),
-            events_shipped: self.replication.events_shipped.load(Ordering::Relaxed),
-            events_applied: self.replication.events_applied.load(Ordering::Relaxed),
-            snapshots_installed: self.replication.snapshots_installed.load(Ordering::Relaxed),
-            read_only_rejections: self
-                .replication
-                .read_only_rejections
-                .load(Ordering::Relaxed),
-        }
-    }
-
-    /// Aggregate durability view: per-shard log gauges summed (last-flush
-    /// reported as the max across shards) plus the recovery counters.
-    pub fn durability(&self) -> DurabilityStats {
-        let mut stats = DurabilityStats {
-            events_replayed: self.durability.events_replayed.load(Ordering::Relaxed),
-            replay_rejected: self.durability.replay_rejected.load(Ordering::Relaxed),
-            snapshots_loaded: self.durability.snapshots_loaded.load(Ordering::Relaxed),
-            snapshots_written: self.durability.snapshots_written.load(Ordering::Relaxed),
-            torn_tail_recoveries: self.durability.torn_tail_recoveries.load(Ordering::Relaxed),
-            ..Default::default()
-        };
-        for shard in self.all_shards() {
-            stats.events_logged += shard.events_logged;
-            stats.log_flushes += shard.log_flushes;
-            stats.log_bytes += shard.log_bytes;
-            stats.last_flush = stats.last_flush.max(shard.last_flush);
-            stats.max_flush = stats.max_flush.max(shard.max_flush);
-        }
-        stats
-    }
+    // ---- shard snapshots ----------------------------------------------
 
     /// Snapshot of one shard's counters.
     pub fn shard(&self, shard: usize) -> ShardStats {
@@ -868,28 +719,31 @@ impl ServiceMetrics {
 
     /// Builds one coherent exposition of every counter, gauge, and
     /// histogram the service tracks: per-kind × per-shard op latencies,
-    /// shard queues, durability/replication/routing counters, pipeline
-    /// histograms, hub health with per-follower lag, and the journal's
-    /// per-kind event counts.
-    pub fn exposition(&self) -> Exposition {
+    /// every [`ShardStats`] field per shard, every [`Counter`], the
+    /// pipeline histograms, hub stats with per-follower lag, and the
+    /// journal's per-kind event counts.
+    fn exposition(&self) -> Exposition {
         let mut expo = Exposition::new();
-        let shard_label = |s: usize| s.to_string();
 
-        // Per-kind × per-shard latency summaries (non-empty pairs only).
+        // Per-kind × per-shard latency summaries (non-empty pairs only),
+        // counted from the same snapshot their quantiles come from.
+        let ops: Vec<_> = self
+            .ops
+            .iter()
+            .enumerate()
+            .flat_map(|(s, kinds)| {
+                OpKind::ALL.map(|kind| (s.to_string(), kind, kinds[kind.index()].snapshot()))
+            })
+            .filter(|(_, _, h)| h.count() > 0)
+            .collect();
         {
             let mut counts = expo.family(
                 "docs_ops_total",
                 "Completed operations by kind and shard.",
                 MetricKind::Counter,
             );
-            for (s, kinds) in self.ops.iter().enumerate() {
-                let shard = shard_label(s);
-                for kind in OpKind::ALL {
-                    let n = kinds[kind.index()].count();
-                    if n > 0 {
-                        counts.sample(&[("kind", kind.name()), ("shard", &shard)], n as f64);
-                    }
-                }
+            for (shard, kind, h) in &ops {
+                counts.sample(&[("kind", kind.name()), ("shard", shard)], h.count() as f64);
             }
         }
         {
@@ -898,229 +752,81 @@ impl ServiceMetrics {
                 "Operation service time quantiles by kind and shard.",
                 MetricKind::Summary,
             );
-            for (s, kinds) in self.ops.iter().enumerate() {
-                let shard = shard_label(s);
-                for kind in OpKind::ALL {
-                    let h = kinds[kind.index()].snapshot();
-                    if h.count() == 0 {
-                        continue;
-                    }
-                    for (q, label) in [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
-                        lat.sample(
-                            &[
-                                ("kind", kind.name()),
-                                ("shard", &shard),
-                                ("quantile", label),
-                            ],
-                            h.quantile(q) as f64,
-                        );
-                    }
+            for (shard, kind, h) in &ops {
+                for (q, label) in QUANTILES {
                     lat.sample(
-                        &[("kind", kind.name()), ("shard", &shard), ("quantile", "1")],
-                        h.max_ns() as f64,
+                        &[("kind", kind.name()), ("shard", shard), ("quantile", label)],
+                        h.quantile(q) as f64,
                     );
                 }
             }
         }
 
-        // Per-shard gauges and counters.
-        macro_rules! shard_family {
-            ($name:expr, $help:expr, $kind:expr, $field:ident) => {{
-                let mut fam = expo.family($name, $help, $kind);
-                for (s, stats) in self.all_shards().iter().enumerate() {
-                    fam.sample(&[("shard", &shard_label(s))], stats.$field as f64);
-                }
-            }};
-        }
-        shard_family!(
-            "docs_shard_queue_depth",
-            "Requests queued on or executing at the shard (plus parked submitters).",
-            MetricKind::Gauge,
-            queued
-        );
-        shard_family!(
-            "docs_shard_queue_depth_max",
-            "High-water mark of the shard's queue depth.",
-            MetricKind::Gauge,
-            max_queued
-        );
-        shard_family!(
-            "docs_shard_in_flight",
-            "Tickets issued against the shard and not yet resolved.",
-            MetricKind::Gauge,
-            in_flight
-        );
-        shard_family!(
-            "docs_shard_busy_rejections_total",
-            "Fail-fast submissions refused because the ingress queue was full.",
-            MetricKind::Counter,
-            busy_rejections
-        );
-        shard_family!(
-            "docs_shard_processed_total",
-            "Requests processed by the shard.",
-            MetricKind::Counter,
-            processed
-        );
-        {
-            let mut fam = expo.family(
-                "docs_shard_busy_seconds_total",
-                "Cumulative time the shard thread spent processing requests.",
-                MetricKind::Counter,
-            );
-            for (s, stats) in self.all_shards().iter().enumerate() {
-                fam.sample(&[("shard", &shard_label(s))], stats.busy.as_secs_f64());
-            }
-        }
-        shard_family!(
-            "docs_shard_events_logged",
-            "Events appended to the shard's campaign log.",
-            MetricKind::Gauge,
-            events_logged
-        );
-        shard_family!(
-            "docs_shard_log_flushes",
-            "Group-commit flushes performed by the shard's log.",
-            MetricKind::Gauge,
-            log_flushes
-        );
-        shard_family!(
-            "docs_shard_log_bytes",
-            "Bytes across the shard's on-disk log segments.",
-            MetricKind::Gauge,
-            log_bytes
+        // Per-shard gauges and counters, from one snapshot per scrape.
+        let shards: Vec<_> = self
+            .all_shards()
+            .iter()
+            .enumerate()
+            .map(|(s, stats)| (s.to_string(), shard_rows(stats)))
+            .collect();
+        labelled_families(
+            &mut expo,
+            "shard",
+            shard_rows(&ShardStats::default()),
+            &shards,
         );
 
-        // Durability / replication / routing counters.
-        let d = self.durability();
-        expo.scalar(
-            "docs_replay_events_total",
-            "Events replayed during recovery.",
-            MetricKind::Counter,
-            d.events_replayed as f64,
-        );
-        expo.scalar(
-            "docs_replay_rejected_total",
-            "Replayed events deterministically rejected.",
-            MetricKind::Counter,
-            d.replay_rejected as f64,
-        );
-        expo.scalar(
-            "docs_snapshots_loaded_total",
-            "Campaign snapshots loaded during recovery.",
-            MetricKind::Counter,
-            d.snapshots_loaded as f64,
-        );
-        expo.scalar(
-            "docs_snapshots_written_total",
-            "Campaign snapshots written while serving.",
-            MetricKind::Counter,
-            d.snapshots_written as f64,
-        );
-        expo.scalar(
-            "docs_torn_tail_recoveries_total",
-            "Log segments whose recovery scan ended in a torn record.",
-            MetricKind::Counter,
-            d.torn_tail_recoveries as f64,
-        );
-        let r = self.replication();
-        expo.scalar(
-            "docs_replication_frames_shipped_total",
-            "Frames handed to the replication sink (primary side).",
-            MetricKind::Counter,
-            r.frames_shipped as f64,
-        );
-        expo.scalar(
-            "docs_replication_events_shipped_total",
-            "Durable events shipped inside frames (primary side).",
-            MetricKind::Counter,
-            r.events_shipped as f64,
-        );
-        expo.scalar(
-            "docs_replication_events_applied_total",
-            "Replicated events applied (follower side).",
-            MetricKind::Counter,
-            r.events_applied as f64,
-        );
-        expo.scalar(
-            "docs_replication_snapshots_installed_total",
-            "Snapshots installed from the stream (follower side).",
-            MetricKind::Counter,
-            r.snapshots_installed as f64,
-        );
-        expo.scalar(
-            "docs_replication_read_only_rejections_total",
-            "Mutations refused on a read-only follower.",
-            MetricKind::Counter,
-            r.read_only_rejections as f64,
-        );
-        let rt = self.routing();
-        expo.scalar(
-            "docs_routing_wrong_node_rejections_total",
-            "Mutations refused with WrongNode (fenced, intake, or placed elsewhere).",
-            MetricKind::Counter,
-            rt.wrong_node_rejections as f64,
-        );
-        expo.scalar(
-            "docs_routing_maps_installed_total",
-            "Cluster maps installed (per shard per accepted install).",
-            MetricKind::Counter,
-            rt.maps_installed as f64,
-        );
-        expo.scalar(
-            "docs_routing_campaigns_fenced_total",
-            "Campaigns fenced away from this node.",
-            MetricKind::Counter,
-            rt.campaigns_fenced as f64,
-        );
-        expo.scalar(
-            "docs_routing_migrations_adopted_total",
-            "Campaigns adopted through migration intake.",
-            MetricKind::Counter,
-            rt.migrations_adopted as f64,
-        );
-        expo.scalar(
-            "docs_routing_forwarded_submissions_total",
-            "Submissions that landed here after a WrongNode redirect elsewhere.",
-            MetricKind::Counter,
-            rt.forwarded_submissions as f64,
-        );
+        // Service-wide counters.
+        for c in Counter::ALL {
+            expo.scalar(
+                c.name(),
+                c.help(),
+                MetricKind::Counter,
+                self.counter(c) as f64,
+            );
+        }
 
         // Pipeline-stage histograms.
-        let summaries: [(&str, &str, LatencyHistogram); 5] = [
+        let PipelineHistograms {
+            flush_batch_events,
+            flush_sync_ns,
+            replication_lag_ns,
+            router_hop_ns,
+            fence_window_ns,
+        } = &*self.pipeline;
+        for (name, help, hist) in [
             (
                 "docs_flush_batch_events",
                 "Events per group-commit flush (unitless).",
-                self.flush_batch_histogram(),
+                flush_batch_events,
             ),
             (
                 "docs_flush_sync_ns",
                 "WAL flush (write + fdatasync) wall time.",
-                self.flush_sync_histogram(),
+                flush_sync_ns,
             ),
             (
                 "docs_replication_lag_ns",
                 "Replicated event ship-to-applied lag.",
-                self.replication_lag_histogram(),
+                replication_lag_ns,
             ),
             (
                 "docs_router_hop_ns",
                 "Routing hop time (map consult or redirect absorb).",
-                self.router_hop_histogram(),
+                router_hop_ns,
             ),
             (
                 "docs_migration_fence_window_ns",
                 "Write-unavailability window of campaign migrations.",
-                self.fence_window_histogram(),
+                fence_window_ns,
             ),
-        ];
-        for (name, help, hist) in &summaries {
+        ] {
+            let hist = hist.snapshot();
             {
-                let mut fam = expo.family(*name, *help, MetricKind::Summary);
-                for (q, label) in [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999")] {
+                let mut fam = expo.family(name, help, MetricKind::Summary);
+                for (q, label) in QUANTILES {
                     fam.sample(&[("quantile", label)], hist.quantile(q) as f64);
                 }
-                fam.sample(&[("quantile", "1")], hist.max_ns() as f64);
             }
             expo.scalar(
                 &format!("{name}_count"),
@@ -1130,64 +836,10 @@ impl ServiceMetrics {
             );
         }
 
-        // Replication hub health (present once a hub published it).
-        if let Some(hub) = self.hub_health() {
-            expo.scalar(
-                "docs_hub_frames_shipped_total",
-                "Frames fanned out by the replication hub.",
-                MetricKind::Counter,
-                hub.frames_shipped as f64,
-            );
-            expo.scalar(
-                "docs_hub_events_shipped_total",
-                "Events fanned out inside event frames.",
-                MetricKind::Counter,
-                hub.events_shipped as f64,
-            );
-            expo.scalar(
-                "docs_hub_bytes_shipped_total",
-                "Encoded wire bytes of event frames fanned out.",
-                MetricKind::Counter,
-                hub.bytes_shipped as f64,
-            );
-            expo.scalar(
-                "docs_hub_snapshot_bytes_shipped_total",
-                "Encoded wire bytes of snapshot frames fanned out.",
-                MetricKind::Counter,
-                hub.snapshot_bytes_shipped as f64,
-            );
-            expo.scalar(
-                "docs_hub_followers",
-                "Currently subscribed followers.",
-                MetricKind::Gauge,
-                hub.followers as f64,
-            );
-            expo.scalar(
-                "docs_hub_followers_dropped_total",
-                "Followers cut off for trailing beyond their stream bound.",
-                MetricKind::Counter,
-                hub.followers_dropped as f64,
-            );
-            {
-                let mut lag = expo.family(
-                    "docs_follower_lag_events",
-                    "Shipped-but-unacked events per follower.",
-                    MetricKind::Gauge,
-                );
-                for f in &hub.follower_lags {
-                    lag.sample(&[("follower", &f.name)], f.lag_events as f64);
-                }
-            }
-            {
-                let mut acked = expo.family(
-                    "docs_follower_acked_watermark",
-                    "Highest acked per-campaign watermark per follower.",
-                    MetricKind::Gauge,
-                );
-                for f in &hub.follower_lags {
-                    acked.sample(&[("follower", &f.name)], f.acked_max as f64);
-                }
-            }
+        // Replication hub stats (present once a hub published them).
+        let hub = self.hub.lock().clone();
+        if let Some(hub) = &hub {
+            expose_hub(&mut expo, hub);
         }
 
         // Control-plane journal: per-kind counts over the held window.
@@ -1216,7 +868,7 @@ impl ServiceMetrics {
         expo
     }
 
-    /// Prometheus text exposition of [`ServiceMetrics::exposition`].
+    /// Prometheus text exposition of every metric the service tracks.
     pub fn render_prometheus(&self) -> String {
         self.exposition().render_prometheus()
     }
@@ -1231,6 +883,225 @@ impl ServiceMetrics {
             self.flight.to_json()
         )
     }
+}
+
+/// The quantiles every summary family reports; `quantile="1"` is the
+/// histogram's exact max.
+const QUANTILES: [(f64, &str); 4] = [(0.5, "0.5"), (0.99, "0.99"), (0.999, "0.999"), (1.0, "1")];
+
+/// One exposition family and its sample for one entity: name, help,
+/// kind, value.
+type Row = (&'static str, &'static str, MetricKind, f64);
+
+fn nanos(d: Duration) -> f64 {
+    d.as_nanos() as f64
+}
+
+/// Every [`ShardStats`] field as one exposition row. The destructuring is
+/// exhaustive, so a field added to the snapshot does not compile until it
+/// is exported here.
+fn shard_rows(stats: &ShardStats) -> [Row; 12] {
+    let ShardStats {
+        queued,
+        max_queued,
+        in_flight,
+        busy_rejections,
+        processed,
+        busy,
+        max_latency,
+        events_logged,
+        log_flushes,
+        last_flush,
+        max_flush,
+        log_bytes,
+    } = *stats;
+    [
+        (
+            "docs_shard_queue_depth",
+            "Requests queued on or executing at the shard (plus parked submitters).",
+            MetricKind::Gauge,
+            queued as f64,
+        ),
+        (
+            "docs_shard_queue_depth_max",
+            "High-water mark of the shard's queue depth.",
+            MetricKind::Gauge,
+            max_queued as f64,
+        ),
+        (
+            "docs_shard_in_flight",
+            "Tickets issued against the shard and not yet resolved.",
+            MetricKind::Gauge,
+            in_flight as f64,
+        ),
+        (
+            "docs_shard_busy_rejections_total",
+            "Fail-fast submissions refused because the ingress queue was full.",
+            MetricKind::Counter,
+            busy_rejections as f64,
+        ),
+        (
+            "docs_shard_processed_total",
+            "Requests processed by the shard.",
+            MetricKind::Counter,
+            processed as f64,
+        ),
+        (
+            "docs_shard_busy_seconds_total",
+            "Cumulative time the shard thread spent processing requests.",
+            MetricKind::Counter,
+            busy.as_secs_f64(),
+        ),
+        (
+            "docs_shard_max_latency_ns",
+            "Worst single-request service time on the shard.",
+            MetricKind::Gauge,
+            nanos(max_latency),
+        ),
+        (
+            "docs_shard_events_logged",
+            "Events appended to the shard's campaign log.",
+            MetricKind::Gauge,
+            events_logged as f64,
+        ),
+        (
+            "docs_shard_log_flushes",
+            "Group-commit flushes performed by the shard's log.",
+            MetricKind::Gauge,
+            log_flushes as f64,
+        ),
+        (
+            "docs_shard_last_flush_ns",
+            "Wall time of the shard's most recent log flush.",
+            MetricKind::Gauge,
+            nanos(last_flush),
+        ),
+        (
+            "docs_shard_max_flush_ns",
+            "Worst single log flush on the shard.",
+            MetricKind::Gauge,
+            nanos(max_flush),
+        ),
+        (
+            "docs_shard_log_bytes",
+            "Bytes across the shard's on-disk log segments.",
+            MetricKind::Gauge,
+            log_bytes as f64,
+        ),
+    ]
+}
+
+/// Every [`FollowerLag`] value as one exposition row (the name is the
+/// sample's label, not a value).
+fn follower_rows(lag: &FollowerLag) -> [Row; 2] {
+    let FollowerLag {
+        name: _,
+        lag_events,
+        acked,
+    } = lag;
+    let acked_max = acked.iter().map(|&(_, seq)| seq).max().unwrap_or(0);
+    [
+        (
+            "docs_follower_lag_events",
+            "Shipped-but-unacked events per follower.",
+            MetricKind::Gauge,
+            *lag_events as f64,
+        ),
+        (
+            "docs_follower_acked_watermark",
+            "Highest acked per-campaign watermark per follower.",
+            MetricKind::Gauge,
+            acked_max as f64,
+        ),
+    ]
+}
+
+/// Renders one family per column of `header`, with one sample per entity
+/// labelled `label="key"`. The header is the rows of a default entity, so
+/// the families render even when there are no entities.
+fn labelled_families<const N: usize>(
+    expo: &mut Exposition,
+    label: &str,
+    header: [Row; N],
+    entities: &[(String, [Row; N])],
+) {
+    for (i, (name, help, kind, _)) in header.into_iter().enumerate() {
+        let mut fam = expo.family(name, help, kind);
+        for (key, rows) in entities {
+            fam.sample(&[(label, key)], rows[i].3);
+        }
+    }
+}
+
+/// Every [`HubStats`] field, destructured exhaustively like
+/// [`shard_rows`].
+fn expose_hub(expo: &mut Exposition, hub: &HubStats) {
+    let HubStats {
+        frames_shipped,
+        events_shipped,
+        bytes_shipped,
+        snapshot_bytes_shipped,
+        followers,
+        followers_dropped,
+        encode_buffer_reuses,
+        follower_lags,
+    } = hub;
+    for (name, help, kind, value) in [
+        (
+            "docs_hub_frames_shipped_total",
+            "Frames fanned out by the replication hub.",
+            MetricKind::Counter,
+            *frames_shipped as f64,
+        ),
+        (
+            "docs_hub_events_shipped_total",
+            "Events fanned out inside event frames.",
+            MetricKind::Counter,
+            *events_shipped as f64,
+        ),
+        (
+            "docs_hub_bytes_shipped_total",
+            "Encoded wire bytes of event frames fanned out.",
+            MetricKind::Counter,
+            *bytes_shipped as f64,
+        ),
+        (
+            "docs_hub_snapshot_bytes_shipped_total",
+            "Encoded wire bytes of snapshot frames fanned out.",
+            MetricKind::Counter,
+            *snapshot_bytes_shipped as f64,
+        ),
+        (
+            "docs_hub_followers",
+            "Currently subscribed followers.",
+            MetricKind::Gauge,
+            *followers as f64,
+        ),
+        (
+            "docs_hub_followers_dropped_total",
+            "Followers cut off for trailing beyond their stream bound.",
+            MetricKind::Counter,
+            *followers_dropped as f64,
+        ),
+        (
+            "docs_hub_encode_buffer_reuses_total",
+            "Pump encodes that reused the retained scratch buffer without growing it.",
+            MetricKind::Counter,
+            *encode_buffer_reuses as f64,
+        ),
+    ] {
+        expo.scalar(name, help, kind, value);
+    }
+    let followers: Vec<_> = follower_lags
+        .iter()
+        .map(|f| (f.name.clone(), follower_rows(f)))
+        .collect();
+    labelled_families(
+        expo,
+        "follower",
+        follower_rows(&FollowerLag::default()),
+        &followers,
+    );
 }
 
 #[cfg(test)]
@@ -1250,9 +1121,9 @@ mod tests {
     #[test]
     fn records_count_total_and_max() {
         let m = ServiceMetrics::new(1);
-        m.record(OpKind::Assign, Duration::from_micros(10));
-        m.record(OpKind::Assign, Duration::from_micros(30));
-        m.record(OpKind::Submit, Duration::from_micros(5));
+        m.record_on(0, OpKind::Assign, Duration::from_micros(10));
+        m.record_on(0, OpKind::Assign, Duration::from_micros(30));
+        m.record_on(0, OpKind::Submit, Duration::from_micros(5));
         let a = m.stats(OpKind::Assign);
         assert_eq!(a.count, 2);
         assert_eq!(a.total, Duration::from_micros(40));
@@ -1295,7 +1166,7 @@ mod tests {
     fn clones_share_the_recorder() {
         let m = ServiceMetrics::new(2);
         let m2 = m.clone();
-        m2.record(OpKind::Golden, Duration::from_micros(1));
+        m2.record_on(0, OpKind::Golden, Duration::from_micros(1));
         m2.shard_enqueued(1);
         assert_eq!(m.stats(OpKind::Golden).count, 1);
         assert_eq!(m.shard(1).queued, 1);
@@ -1436,66 +1307,63 @@ mod tests {
             Duration::from_micros(70),
             512,
         );
-        m.replay_recorded(7, 1);
-        m.snapshot_loaded();
-        m.snapshot_written();
-        m.snapshot_written();
-        let d = m.durability();
-        assert_eq!(d.events_logged, 15);
-        assert_eq!(d.log_flushes, 8);
-        assert_eq!(d.log_bytes, 1536);
-        assert_eq!(d.last_flush, Duration::from_micros(70));
-        assert_eq!(d.max_flush, Duration::from_micros(90));
-        assert_eq!(d.events_replayed, 7);
-        assert_eq!(d.replay_rejected, 1);
-        assert_eq!(d.snapshots_loaded, 1);
-        assert_eq!(d.snapshots_written, 2);
+        m.add(Counter::EventsReplayed, 7);
+        m.add(Counter::ReplayRejected, 1);
+        m.add(Counter::SnapshotsLoaded, 1);
+        m.add(Counter::SnapshotsWritten, 1);
+        m.add(Counter::SnapshotsWritten, 1);
+        let shards = m.all_shards();
+        let sum = |f: fn(&ShardStats) -> u64| shards.iter().map(f).sum::<u64>();
+        let max = |f: fn(&ShardStats) -> Duration| shards.iter().map(f).max().unwrap();
+        assert_eq!(sum(|s| s.events_logged), 15);
+        assert_eq!(sum(|s| s.log_flushes), 8);
+        assert_eq!(sum(|s| s.log_bytes), 1536);
+        assert_eq!(max(|s| s.last_flush), Duration::from_micros(70));
+        assert_eq!(max(|s| s.max_flush), Duration::from_micros(90));
+        assert_eq!(m.counter(Counter::EventsReplayed), 7);
+        assert_eq!(m.counter(Counter::ReplayRejected), 1);
+        assert_eq!(m.counter(Counter::SnapshotsLoaded), 1);
+        assert_eq!(m.counter(Counter::SnapshotsWritten), 2);
         assert_eq!(m.shard(0).log_bytes, 1024);
     }
 
     #[test]
     fn replication_and_torn_tail_counters_accumulate() {
         let m = ServiceMetrics::new(1);
-        assert_eq!(m.replication(), ReplicationStats::default());
-        m.frame_shipped(3);
-        m.frame_shipped(0); // a snapshot frame carries no events
-        m.replicated_applied();
-        m.replicated_applied();
-        m.snapshot_installed();
-        m.read_only_rejection();
-        let r = m.replication();
-        assert_eq!(r.frames_shipped, 2);
-        assert_eq!(r.events_shipped, 3);
-        assert_eq!(r.events_applied, 2);
-        assert_eq!(r.snapshots_installed, 1);
-        assert_eq!(r.read_only_rejections, 1);
-        // Torn tails surface in the durability view instead of vanishing.
-        assert_eq!(m.durability().torn_tail_recoveries, 0);
-        m.torn_tail_recovered(2);
-        assert_eq!(m.durability().torn_tail_recoveries, 2);
+        assert!(Counter::ALL.iter().all(|&c| m.counter(c) == 0));
+        m.add(Counter::FramesShipped, 1);
+        m.add(Counter::EventsShipped, 3);
+        m.add(Counter::FramesShipped, 1); // a snapshot frame carries no events
+        m.add(Counter::EventsApplied, 1);
+        m.add(Counter::EventsApplied, 1);
+        m.add(Counter::SnapshotsInstalled, 1);
+        m.add(Counter::ReadOnlyRejections, 1);
+        assert_eq!(m.counter(Counter::FramesShipped), 2);
+        assert_eq!(m.counter(Counter::EventsShipped), 3);
+        assert_eq!(m.counter(Counter::EventsApplied), 2);
+        assert_eq!(m.counter(Counter::SnapshotsInstalled), 1);
+        assert_eq!(m.counter(Counter::ReadOnlyRejections), 1);
+        // Torn tails surface as a counter instead of vanishing.
+        assert_eq!(m.counter(Counter::TornTailRecoveries), 0);
+        m.add(Counter::TornTailRecoveries, 2);
+        assert_eq!(m.counter(Counter::TornTailRecoveries), 2);
     }
 
     #[test]
-    fn routing_counters_accumulate_and_display() {
+    fn routing_counters_accumulate() {
         let m = ServiceMetrics::new(2);
-        assert_eq!(m.routing(), RoutingStats::default());
-        m.wrong_node_rejection();
-        m.wrong_node_rejection();
-        m.map_installed();
-        m.campaign_fenced();
-        m.migration_adopted();
-        m.forwarded_submission();
-        let r = m.routing();
-        assert_eq!(r.wrong_node_rejections, 2);
-        assert_eq!(r.maps_installed, 1);
-        assert_eq!(r.campaigns_fenced, 1);
-        assert_eq!(r.migrations_adopted, 1);
-        assert_eq!(r.forwarded_submissions, 1);
-        assert_eq!(
-            r.to_string(),
-            "routing: 2 wrong-node rejections, 1 maps installed, \
-             1 campaigns fenced, 1 migrations adopted, 1 forwarded submissions"
-        );
+        assert!(Counter::ALL.iter().all(|&c| m.counter(c) == 0));
+        m.add(Counter::WrongNodeRejections, 1);
+        m.add(Counter::WrongNodeRejections, 1);
+        m.add(Counter::MapsInstalled, 1);
+        m.add(Counter::CampaignsFenced, 1);
+        m.add(Counter::MigrationsAdopted, 1);
+        m.add(Counter::ForwardedSubmissions, 1);
+        assert_eq!(m.counter(Counter::WrongNodeRejections), 2);
+        assert_eq!(m.counter(Counter::MapsInstalled), 1);
+        assert_eq!(m.counter(Counter::CampaignsFenced), 1);
+        assert_eq!(m.counter(Counter::MigrationsAdopted), 1);
+        assert_eq!(m.counter(Counter::ForwardedSubmissions), 1);
     }
 
     #[test]
@@ -1506,7 +1374,7 @@ mod tests {
                 let m = m.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        m.record(OpKind::Submit, Duration::from_nanos(100));
+                        m.record_on(0, OpKind::Submit, Duration::from_nanos(100));
                         m.shard_enqueued(t % 4);
                         m.shard_processed(t % 4, Duration::from_nanos(50));
                     }
@@ -1533,6 +1401,30 @@ mod tests {
         assert!(m.maybe_trace(99).is_none());
     }
 
+    /// The 47 families the exposition rendered, with a hub attached,
+    /// before its counters moved into one table (whitespace-separated).
+    const PINNED_FAMILIES: &str = "\
+        docs_ops_total docs_op_latency_ns docs_shard_queue_depth docs_shard_queue_depth_max \
+        docs_shard_in_flight docs_shard_busy_rejections_total docs_shard_processed_total \
+        docs_shard_busy_seconds_total docs_shard_events_logged docs_shard_log_flushes \
+        docs_shard_log_bytes docs_replay_events_total docs_replay_rejected_total \
+        docs_snapshots_loaded_total docs_snapshots_written_total \
+        docs_torn_tail_recoveries_total docs_replication_frames_shipped_total \
+        docs_replication_events_shipped_total docs_replication_events_applied_total \
+        docs_replication_snapshots_installed_total docs_replication_read_only_rejections_total \
+        docs_routing_wrong_node_rejections_total docs_routing_maps_installed_total \
+        docs_routing_campaigns_fenced_total docs_routing_migrations_adopted_total \
+        docs_routing_forwarded_submissions_total docs_flush_batch_events \
+        docs_flush_batch_events_count docs_flush_sync_ns docs_flush_sync_ns_count \
+        docs_replication_lag_ns docs_replication_lag_ns_count docs_router_hop_ns \
+        docs_router_hop_ns_count docs_migration_fence_window_ns \
+        docs_migration_fence_window_ns_count docs_hub_frames_shipped_total \
+        docs_hub_events_shipped_total docs_hub_bytes_shipped_total \
+        docs_hub_snapshot_bytes_shipped_total docs_hub_followers \
+        docs_hub_followers_dropped_total docs_follower_lag_events \
+        docs_follower_acked_watermark docs_journal_events docs_journal_logged_total \
+        docs_flight_traces";
+
     #[test]
     fn exposition_covers_every_surface_and_parses() {
         let m = ServiceMetrics::new(2);
@@ -1540,23 +1432,33 @@ mod tests {
         m.shard_enqueued(0);
         m.busy_rejection(0);
         m.shard_processed(1, Duration::from_millis(250));
-        m.frame_shipped(4);
-        m.wrong_node_rejection();
-        m.replay_recorded(2, 0);
+        m.shard_log_observed(
+            0,
+            3,
+            2,
+            Duration::from_micros(40),
+            Duration::from_micros(90),
+            512,
+        );
+        m.add(Counter::FramesShipped, 1);
+        m.add(Counter::EventsShipped, 4);
+        m.add(Counter::WrongNodeRejections, 1);
+        m.add(Counter::EventsReplayed, 2);
         m.flush_recorded(16, Duration::from_micros(120));
         m.replication_lag_recorded(Duration::from_micros(80));
         m.fence_window_recorded(Duration::from_micros(300));
-        m.hub_observed(HubHealth {
+        m.hub_observed(HubStats {
             frames_shipped: 9,
             events_shipped: 40,
             bytes_shipped: 1800,
             snapshot_bytes_shipped: 0,
             followers: 1,
             followers_dropped: 0,
-            follower_lags: vec![FollowerLagSample {
+            encode_buffer_reuses: 7,
+            follower_lags: vec![FollowerLag {
                 name: "replica-a".into(),
                 lag_events: 2,
-                acked_max: 38,
+                acked: vec![(CampaignId(0), 38), (CampaignId(3), 5)],
             }],
         });
         m.journal()
@@ -1580,12 +1482,36 @@ mod tests {
             "docs_hub_followers 1",
             "docs_follower_lag_events{follower=\"replica-a\"} 2",
             "docs_journal_events{kind=\"fence\"} 1",
+            "docs_follower_acked_watermark{follower=\"replica-a\"} 38",
+            "docs_shard_max_latency_ns{shard=\"1\"} 250000000",
+            "docs_shard_last_flush_ns{shard=\"0\"} 40000",
+            "docs_shard_max_flush_ns{shard=\"0\"} 90000",
+            "docs_hub_encode_buffer_reuses_total 7",
         ] {
             assert!(
                 text.contains(needle),
                 "exposition missing {needle:?}\n{text}"
             );
         }
+
+        // Every family the exposition rendered before the counter table
+        // replaced the hand-written calls, plus the four it added, by name.
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split(' ').next())
+            .collect();
+        let pinned: Vec<&str> = PINNED_FAMILIES.split_whitespace().collect();
+        assert_eq!(pinned.len(), 47);
+        for name in pinned.iter().chain(&[
+            "docs_shard_max_latency_ns",
+            "docs_shard_last_flush_ns",
+            "docs_shard_max_flush_ns",
+            "docs_hub_encode_buffer_reuses_total",
+        ]) {
+            assert!(families.contains(name), "family {name} not rendered");
+        }
+        assert_eq!(families.len(), pinned.len() + 4);
 
         let json = m.snapshot_json();
         assert!(json.starts_with("{\"metrics\":{"));

@@ -39,6 +39,7 @@
 //! follower is consistent-but-stale, exactly like any asynchronous read
 //! replica. Callers that need read-your-writes read from the primary.
 
+use crate::metrics::Counter;
 use crate::server::{ServiceError, ServiceHandle};
 use docs_types::{CampaignId, ClusterMap, NodeId, RejectReason};
 use parking_lot::Mutex;
@@ -388,7 +389,11 @@ impl DriveTarget for ClusterRouter {
     fn note_forwarded(&self, campaign: CampaignId) {
         self.forwarded_writes.fetch_add(1, Ordering::Relaxed);
         if let Some(entry) = self.entry_of(self.owner_of(campaign)) {
-            entry.node.primary.metrics().forwarded_submission();
+            entry
+                .node
+                .primary
+                .metrics()
+                .add(Counter::ForwardedSubmissions, 1);
         }
     }
 }

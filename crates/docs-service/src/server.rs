@@ -49,7 +49,7 @@
 //!   campaign id and otherwise uses the same methods as everyone else.
 
 use crate::message::{BatchOutcome, Completion, Request, RequestEnvelope, Response};
-use crate::metrics::{OpKind, ServiceMetrics};
+use crate::metrics::{Counter, OpKind, ServiceMetrics};
 use crate::ticket::Ticket;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use docs_obs::{JournalKind, SpanKind, TraceContext};
@@ -919,7 +919,7 @@ impl ShardDurability {
         let bytes = codec::to_bytes(&docs.snapshot());
         let seq = self.log.write_snapshot(campaign, &bytes)?;
         self.snapshotted_at.insert(campaign, seq);
-        metrics.snapshot_written();
+        metrics.add(Counter::SnapshotsWritten, 1);
         if self.sink.is_some() {
             self.unshipped.push(Unshipped::Snapshot(SnapshotFrame {
                 campaign,
@@ -982,7 +982,8 @@ impl ShardDurability {
                 self.unshipped.clear();
                 return;
             }
-            metrics.frame_shipped(events);
+            metrics.add(Counter::FramesShipped, 1);
+            metrics.add(Counter::EventsShipped, events);
         }
     }
 
@@ -1127,7 +1128,7 @@ fn install_snapshot(
     // first `create_campaign` after this follower is promoted cannot
     // collide with a campaign it replicated.
     next_campaign.fetch_max(campaign.0 + 1, Ordering::SeqCst);
-    metrics.snapshot_installed();
+    metrics.add(Counter::SnapshotsInstalled, 1);
     if let Some(d) = durability.as_mut() {
         let policy = registry
             .get(campaign)
@@ -1183,7 +1184,7 @@ fn apply_replicated(
         |_| Response::Ack,
     );
     if matches!(response, Response::Ack) {
-        metrics.replicated_applied();
+        metrics.add(Counter::EventsApplied, 1);
     }
     response
 }
@@ -1462,7 +1463,7 @@ fn process_one(
     // consistent-but-stale replica of its new owner.
     let refusal = match role.get() {
         ReplicaRole::Follower if !request.is_read() && !request.is_replication() => {
-            metrics.read_only_rejection();
+            metrics.add(Counter::ReadOnlyRejections, 1);
             Some(Response::Rejected(RejectReason::ReadOnlyReplica {
                 campaign,
             }))
@@ -1478,7 +1479,7 @@ fn process_one(
             match ownership.admit_mutation(campaign) {
                 MutationAdmission::Allowed => None,
                 MutationAdmission::Redirect { owner } => {
-                    metrics.wrong_node_rejection();
+                    metrics.add(Counter::WrongNodeRejections, 1);
                     metrics.journal().warn(
                         JournalKind::WrongNodeRejection,
                         format!("campaign {campaign}: mutation redirected to {owner}"),
@@ -1562,7 +1563,7 @@ fn process_one(
             }
             Request::CompleteMigration { .. } => {
                 ownership.complete_intake(campaign);
-                metrics.migration_adopted();
+                metrics.add(Counter::MigrationsAdopted, 1);
                 metrics.journal().info(
                     JournalKind::MigrationAdopted,
                     format!("campaign {campaign} adopted after migration intake"),
@@ -1571,7 +1572,7 @@ fn process_one(
             }
             Request::InstallMap { map } => {
                 if ownership.install_map(&map) {
-                    metrics.map_installed();
+                    metrics.add(Counter::MapsInstalled, 1);
                     metrics.journal().info(
                         JournalKind::MapInstall,
                         format!("cluster map epoch {} installed", map.epoch()),
@@ -1753,7 +1754,7 @@ fn on_fence(
         watermark = d.log.last_seq(campaign);
     }
     ownership.fence(campaign, owner, watermark);
-    metrics.campaign_fenced();
+    metrics.add(Counter::CampaignsFenced, 1);
     metrics.journal().info(
         JournalKind::Fence,
         format!("campaign {campaign} fenced to {owner} at watermark {watermark}"),
@@ -1844,7 +1845,7 @@ impl DocsService {
         // Torn segment tails are tolerated crash artifacts — but they are
         // *observations* of a crash, so they surface as a counter instead
         // of being dropped after classification.
-        metrics.torn_tail_recovered(tree.torn_tails);
+        metrics.add(Counter::TornTailRecoveries, tree.torn_tails);
         let mut seeds: PoolSeeds = (0..shards)
             .map(|_| (CampaignRegistry::new(), Vec::new()))
             .collect();
@@ -1869,8 +1870,9 @@ impl DocsService {
                 .0
                 .replay(*id, snapshot, &events)
                 .map_err(|e| ServiceError::Rejected(e.into()))?;
-            metrics.replay_recorded(stats.applied, stats.rejected);
-            metrics.snapshot_loaded();
+            metrics.add(Counter::EventsReplayed, stats.applied);
+            metrics.add(Counter::ReplayRejected, stats.rejected);
+            metrics.add(Counter::SnapshotsLoaded, 1);
             let policy = seeds[shard]
                 .0
                 .get(*id)
@@ -2492,13 +2494,14 @@ mod tests {
             .submit_answer_ticket_in(c, Answer::new(w, TaskId(0), 0))
             .and_then(Ticket::wait)
             .unwrap();
-        let d = handle.metrics().durability();
+        let shards = handle.metrics().all_shards();
+        let events_logged: u64 = shards.iter().map(|s| s.events_logged).sum();
         assert!(
-            d.events_logged >= 3,
-            "published + golden + answer logged, got {d:?}"
+            events_logged >= 3,
+            "published + golden + answer logged, got {shards:?}"
         );
-        assert!(d.snapshots_written >= 1);
-        assert!(d.log_bytes > 0);
+        assert!(handle.metrics().counter(Counter::SnapshotsWritten) >= 1);
+        assert!(shards.iter().map(|s| s.log_bytes).sum::<u64>() > 0);
         drop(handle);
         service.join();
         // The on-disk tree recovers the campaign with its events.
@@ -2576,14 +2579,22 @@ mod tests {
         {
             pass_golden_in(&handle, c, w, &g);
         }
-        let flushes_before = handle.metrics().durability().log_flushes;
+        let flushes = || -> u64 {
+            handle
+                .metrics()
+                .all_shards()
+                .iter()
+                .map(|s| s.log_flushes)
+                .sum()
+        };
+        let flushes_before = flushes();
         let batch: Vec<Answer> = (0..6).map(|t| Answer::new(w, TaskId(t), 0)).collect();
         let outcome = handle
             .submit_answer_batch_ticket_in(c, batch)
             .and_then(Ticket::wait)
             .unwrap();
         assert_eq!(outcome.accepted, 6);
-        let flushes_after = handle.metrics().durability().log_flushes;
+        let flushes_after = flushes();
         assert_eq!(
             flushes_after - flushes_before,
             1,

@@ -154,7 +154,12 @@ fn run(label: &str, use_index: bool, batched: bool) -> RunReport {
     let assign = handle.metrics().stats(OpKind::Assign);
     let submits = handle.metrics().stats(OpKind::Submit).count
         + handle.metrics().stats(OpKind::SubmitBatch).count;
-    let flushes = handle.metrics().durability().log_flushes;
+    let flushes = handle
+        .metrics()
+        .all_shards()
+        .iter()
+        .map(|s| s.log_flushes)
+        .sum();
     drop(handle);
     service.join_all();
     let _ = std::fs::remove_dir_all(&dir);

@@ -24,8 +24,8 @@
 
 use docs_crowd::{AnswerModel, PopulationConfig, WorkerPopulation};
 use docs_service::{
-    drive_workers_on, AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceError,
-    ServiceHandle, Ticket,
+    drive_workers_on, AdaptiveCommit, Counter, DocsService, DurabilityConfig, ServiceConfig,
+    ServiceError, ServiceHandle, Ticket,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -168,10 +168,12 @@ fn recovery_smoke(dir: &Path) {
     );
 
     let (service, handle) = DocsService::recover(config).expect("recover from durability dir");
-    let d = handle.metrics().durability();
+    let m = handle.metrics();
     println!(
         "  recovered: {} snapshot(s), {} event(s) replayed, {} rejected",
-        d.snapshots_loaded, d.events_replayed, d.replay_rejected
+        m.counter(Counter::SnapshotsLoaded),
+        m.counter(Counter::EventsReplayed),
+        m.counter(Counter::ReplayRejected)
     );
     for op in &ops {
         submit(&handle, campaign, op);
@@ -257,11 +259,17 @@ fn measure(dir: &Path, flush: Option<FlushPolicy>, label: &str) -> f64 {
     let wall = started.elapsed().as_secs_f64();
     let answers = report.total_answers();
     let tput = answers as f64 / wall;
-    let d = handle.metrics().durability();
+    let shards = handle.metrics().all_shards();
     println!(
         "  {label:<22} {answers:>6} answers in {wall:>5.2}s → {tput:>7.0} answers/s   \
          (events logged {:>6}, flushes {:>5}, last flush {:?})",
-        d.events_logged, d.log_flushes, d.last_flush
+        shards.iter().map(|s| s.events_logged).sum::<u64>(),
+        shards.iter().map(|s| s.log_flushes).sum::<u64>(),
+        shards
+            .iter()
+            .map(|s| s.last_flush)
+            .max()
+            .unwrap_or_default()
     );
     drop(handle);
     let _ = service.join_all();

@@ -16,8 +16,8 @@
 
 use docs_replication::{migrate_campaign, replication_channel, MigrationSource, ReplicationHub};
 use docs_service::{
-    absorb_redirects, AdaptiveCommit, ClusterNode, ClusterRouter, DocsService, DurabilityConfig,
-    ServiceConfig, ServiceError, ServiceHandle, Ticket,
+    absorb_redirects, AdaptiveCommit, ClusterNode, ClusterRouter, Counter, DocsService,
+    DurabilityConfig, ServiceConfig, ServiceError, ServiceHandle, Ticket,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -354,12 +354,11 @@ fn rebalance_under_traffic_case(shards: usize, task_shards: usize) {
 
     // Migration observability: the campaign was fenced on node 0 and
     // adopted on node 1; both nodes adopted the flipped directory.
-    let routing0 = cluster.node0.1.metrics().routing();
-    let routing1 = cluster.node1.1.metrics().routing();
-    assert_eq!(routing0.campaigns_fenced, 1, "{label}");
-    assert_eq!(routing1.migrations_adopted, 1, "{label}");
-    assert!(routing0.maps_installed >= 1, "{label}");
-    assert!(routing1.maps_installed >= 1, "{label}");
+    let (metrics0, metrics1) = (cluster.node0.1.metrics(), cluster.node1.1.metrics());
+    assert_eq!(metrics0.counter(Counter::CampaignsFenced), 1, "{label}");
+    assert_eq!(metrics1.counter(Counter::MigrationsAdopted), 1, "{label}");
+    assert!(metrics0.counter(Counter::MapsInstalled) >= 1, "{label}");
+    assert!(metrics1.counter(Counter::MapsInstalled) >= 1, "{label}");
 
     // The destination's own durable log carries the whole campaign:
     // snapshot + migrated suffix + post-migration traffic. Cold-recover
@@ -436,11 +435,21 @@ fn stale_map_case(shards: usize, pipelined: bool) {
     // least once (the stale write, plus any fence-window traffic), and
     // node 1 counted the forwarded submission.
     assert!(
-        cluster.node0.1.metrics().routing().wrong_node_rejections >= 1,
+        cluster
+            .node0
+            .1
+            .metrics()
+            .counter(Counter::WrongNodeRejections)
+            >= 1,
         "{label}"
     );
     assert!(
-        cluster.node1.1.metrics().routing().forwarded_submissions >= 1,
+        cluster
+            .node1
+            .1
+            .metrics()
+            .counter(Counter::ForwardedSubmissions)
+            >= 1,
         "{label}"
     );
 

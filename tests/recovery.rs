@@ -18,8 +18,8 @@
 //! deterministic no-ops.
 
 use docs_service::{
-    AdaptiveCommit, DocsService, DurabilityConfig, ServiceConfig, ServiceError, ServiceHandle,
-    Ticket,
+    AdaptiveCommit, Counter, DocsService, DurabilityConfig, ServiceConfig, ServiceError,
+    ServiceHandle, Ticket,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -224,16 +224,16 @@ fn crash_recover_case(
     let (service, handle) = DocsService::recover(config).expect("recovery succeeds");
     assert_eq!(handle.default_campaign(), campaign, "{label}");
     assert!(
-        handle.metrics().durability().snapshots_loaded >= 1,
+        handle.metrics().counter(Counter::SnapshotsLoaded) >= 1,
         "{label}"
     );
     // Satellite regression: `Wal::replay_all` classifies the torn tail,
-    // and the count must surface in `DurabilityStats` instead of being
-    // silently dropped after recovery.
+    // and the count must surface in `Counter::TornTailRecoveries` instead
+    // of being silently dropped after recovery.
     if tear_tail {
         assert!(
-            handle.metrics().durability().torn_tail_recoveries >= 1,
-            "torn tail swallowed instead of surfacing in DurabilityStats: {label}"
+            handle.metrics().counter(Counter::TornTailRecoveries) >= 1,
+            "torn tail swallowed instead of surfacing as a counter: {label}"
         );
     }
     for op in &ops {
@@ -481,8 +481,7 @@ fn multi_campaign_recovery_preserves_every_durable_campaign() {
     assert_byte_identical(&r0, &reference, "multi-campaign c0");
     let r1 = handle.finish_in(c1).unwrap();
     assert_eq!(r1.truths.len(), NUM_TASKS);
-    let d = handle.metrics().durability();
-    assert_eq!(d.snapshots_loaded, 2);
+    assert_eq!(handle.metrics().counter(Counter::SnapshotsLoaded), 2);
     drop(handle);
     let _ = service.join_all();
     let _ = std::fs::remove_dir_all(&dir);
@@ -571,7 +570,7 @@ fn mixed_format_log_json_seed_plus_binary_appends_recovers_byte_identical() {
         DocsService::recover(service_config(1, &dir, policy)).expect("recover JSON-era directory");
     let campaign = handle.default_campaign();
     assert_eq!(campaign, CampaignId(0), "seeded campaign came back");
-    assert!(handle.metrics().durability().snapshots_loaded >= 1);
+    assert!(handle.metrics().counter(Counter::SnapshotsLoaded) >= 1);
     for op in &ops {
         submit(&handle, campaign, op);
     }

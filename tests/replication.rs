@@ -18,8 +18,8 @@
 
 use docs_replication::{bootstrap_frames, replication_channel, Replica, ReplicationHub};
 use docs_service::{
-    AdaptiveCommit, ClusterRouter, DocsService, DurabilityConfig, RejectReason, ReplicaRole,
-    ServiceConfig, ServiceError, ServiceHandle, Ticket,
+    AdaptiveCommit, ClusterRouter, Counter, DocsService, DurabilityConfig, RejectReason,
+    ReplicaRole, ServiceConfig, ServiceError, ServiceHandle, Ticket,
 };
 use docs_storage::FlushPolicy;
 use docs_system::{Docs, DocsConfig, RequesterReport, WorkRequest};
@@ -360,8 +360,7 @@ fn crash_then_promotion_loses_no_acknowledged_event_and_resumes_traffic() {
         replica
             .handle()
             .metrics()
-            .replication()
-            .read_only_rejections
+            .counter(Counter::ReadOnlyRejections)
             >= 1
     );
     let err = handle
